@@ -390,11 +390,19 @@ class _PoolBackend(ExecutionBackend):
 
         Invariants: every admitted item ends *resolved* — a success, a
         recorded :class:`FailureReport` (``on_failure="drop"``) or the cause
-        of the re-raised error (``on_failure="raise"``).  A broken pool is
-        rebuilt up to ``policy.max_pool_rebuilds`` times, re-dispatching only
-        unfinished items; past that the unresolved remainder is delegated to
-        the next backend in the degradation chain (process → thread →
-        serial) when ``policy.degrade`` allows.
+        of the re-raised error (``on_failure="raise"``).
+
+        A broken pool is charged only to the task that broke it.  When one
+        task was in flight, that task is charged one attempt.  When several
+        were, none is charged: they are re-queued as *suspects* at their
+        current attempt number, and concurrency drops to one until every
+        suspect is resolved, so the next break names its task.  A task that
+        crashes every time therefore costs up to ``policy.max_attempts + 1``
+        rebuilds.  The pool is rebuilt up to ``policy.max_pool_rebuilds``
+        times, re-dispatching only unfinished items; past that the
+        unresolved remainder is delegated to the next backend in the
+        degradation chain (process → thread → serial) when
+        ``policy.degrade`` allows.
         """
         start = time.time()
         count = len(items)
@@ -406,7 +414,8 @@ class _PoolBackend(ExecutionBackend):
         failures: List[FailureReport] = []
         attempts = [0] * count
         resolved = [False] * count
-        first_submit = [0.0] * count
+        first_submit: Dict[int, float] = {}
+        suspects = set()  # tasks lost to a pool break, run one at a time
         completed = 0
         retries = 0
         rebuilds = 0
@@ -428,8 +437,7 @@ class _PoolBackend(ExecutionBackend):
             now = time.time()
             pending[future] = index
             submit_times[future] = now
-            if attempts[index] == 0:
-                first_submit[index] = now
+            first_submit.setdefault(index, now)
             if policy.task_timeout is not None:
                 deadlines[future] = now + policy.task_timeout
 
@@ -451,11 +459,13 @@ class _PoolBackend(ExecutionBackend):
         def refill() -> None:
             nonlocal admitted
             now = time.time()
+            limit = 1 if any(not resolved[index] for index in suspects) \
+                else self.max_workers
             while retry_queue and retry_queue[0][0] <= now \
-                    and len(pending) < self.max_workers:
+                    and len(pending) < limit:
                 _, index = heapq.heappop(retry_queue)
                 submit(index)
-            while admitted < count and len(pending) < self.max_workers \
+            while admitted < count and len(pending) < limit \
                     and self._may_dispatch(budget, total_latency, completed,
                                            admitted, min_results):
                 submit(admitted)
@@ -482,6 +492,7 @@ class _PoolBackend(ExecutionBackend):
                     pending, timeout=timeout,
                     return_when=concurrent.futures.FIRST_COMPLETED)
                 broken: Optional[BaseException] = None
+                lost: List[int] = []
                 for future in done:
                     index = pending.pop(future)
                     submitted_at = submit_times.pop(future)
@@ -490,7 +501,7 @@ class _PoolBackend(ExecutionBackend):
                         value = future.result()
                     except concurrent.futures.BrokenExecutor as error:
                         broken = error
-                        resolve_failure(index, error)
+                        lost.append(index)
                         continue
                     except Exception as error:
                         resolve_failure(index, error)
@@ -501,12 +512,19 @@ class _PoolBackend(ExecutionBackend):
                     completed += 1
                 if broken is not None:
                     # The pool is dead: every still-pending future is lost
-                    # with it.  Re-queue the in-flight items and rebuild.
-                    for future, index in list(pending.items()):
-                        submit_times.pop(future, None)
-                        deadlines.pop(future, None)
-                        resolve_failure(index, broken)
+                    # with it.  Only a lone in-flight task can be blamed;
+                    # otherwise re-run the lost tasks one at a time, uncharged.
+                    lost.extend(pending.values())
                     pending.clear()
+                    submit_times.clear()
+                    deadlines.clear()
+                    suspects.update(lost)
+                    if len(lost) == 1:
+                        resolve_failure(lost[0], broken)
+                    else:
+                        now = time.time()
+                        for index in lost:
+                            heapq.heappush(retry_queue, (now, index))
                     rebuilds += 1
                     self.close()
                     if rebuilds > policy.max_pool_rebuilds:

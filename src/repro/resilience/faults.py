@@ -24,7 +24,12 @@ Usage::
                                 indices=(3,), attempts=(0,),
                                 backends=("process",))])
     with plan.installed():
-        ...   # exactly one worker crash, then clean retries
+        ...   # task 3 crashes on attempt 0, then retries cleanly
+
+When task 3 shares the broken pool with other in-flight tasks, that crash is
+charged to no one and fires once more while the lost tasks re-run one at a
+time (an uncharged re-dispatch keeps its attempt number); the second crash
+names task 3, which is charged and retried cleanly on attempt 1.
 """
 
 from __future__ import annotations
@@ -78,7 +83,11 @@ class FaultRule:
     indices / attempts : tuple of int, optional
         Fire only for these task indices / attempt numbers (``None`` =
         any).  Keying transient faults by ``attempts=(0,)`` makes the retry
-        deterministic without any shared counter.
+        deterministic without any shared counter.  The attempt number the
+        ``"backend.task"`` site passes is the number of failures charged to
+        the task so far: a re-dispatch after a pool break that was shared
+        by several in-flight tasks is uncharged and passes the same number
+        again.
     backends : tuple of str, optional
         Fire only when the executing backend's name matches (``None`` =
         any) — lets a plan crash process workers while leaving the thread

@@ -104,7 +104,8 @@ class ResiliencePolicy:
     max_pool_rebuilds : int
         How many times the process backend rebuilds a broken pool before
         degrading to the next backend in the chain (process → thread →
-        serial).
+        serial).  Every break counts, including a break shared by several
+        in-flight tasks that charges none of them.
     degrade : bool
         Whether the degradation chain is enabled at all; with ``False`` a
         repeatedly broken pool fails the unfinished tasks instead.

@@ -261,6 +261,36 @@ class TestSupervisedMap:
         for expected, value in zip(reference.results, report.results):
             assert expected.tobytes() == value.tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_pool_break_is_charged_only_to_the_crashing_task(self, workers):
+        """A crash breaks the whole pool, but only the crashing task is
+        charged: its neighbours re-run uncharged, one at a time, so every
+        later break names its task."""
+        plan = FaultPlan([FaultRule(site="backend.task", kind="crash",
+                                    indices=(2,), backends=("process",))])
+        policy = ResiliencePolicy(max_retries=1, max_pool_rebuilds=3,
+                                  degrade=False, backoff_seconds=0.001,
+                                  on_failure="drop")
+        items = list(range(6))
+        reference = SerialBackend().map(_seeded_vector, items)
+        backend = ProcessBackend(max_workers=workers)
+        try:
+            with plan.installed():
+                report = backend.map(_seeded_vector, items, policy=policy)
+        finally:
+            backend.close()
+        (failure,) = report.failures
+        assert failure.index == 2
+        assert failure.kind == "worker_crash"
+        assert failure.attempts == policy.max_attempts
+        assert report.details["pool_rebuilds"] <= policy.max_attempts + 1
+        assert len(report.results) == len(items)
+        assert report.results[2] is None
+        for index, (expected, value) in enumerate(zip(reference.results,
+                                                      report.results)):
+            if index != 2:
+                assert expected.tobytes() == value.tobytes()
+
     def test_process_degrades_to_thread_when_rebuilds_exhausted(self):
         plan = FaultPlan([FaultRule(site="backend.task", kind="crash",
                                     backends=("process",))])
