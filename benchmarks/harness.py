@@ -261,7 +261,7 @@ def _capture_speedup_sweep(epochs: int = 60) -> Dict[str, Dict[str, float]]:
     calls only — so model building, validation and best-state snapshots,
     which are identical engine-independent work on both paths, do not
     dilute the engine ratio.  (The capture side still pays its trace epoch,
-    pass pipeline and arena planning inside ``run_epoch`` timing.)
+    IR verification and arena planning inside ``run_epoch`` timing.)
     """
     from repro.datasets import make_arxiv_dataset
     from repro.nn.model_zoo import build_model
@@ -302,7 +302,7 @@ def capture_speedup_study(epochs: int = 60, repeats: int = 5,
 
     ``epochs=60`` matches the pipeline's shortest real training stage (the
     proxy search; GSE/bagging stages run 120–200), so the one-time trace
-    epoch, pass pipeline and arena planning amortize the way they do in an
+    epoch, IR verification and arena planning amortize the way they do in an
     actual run — a shorter horizon under-states the engine.
 
     Runs :func:`_capture_speedup_sweep` ``repeats`` times and reduces each
@@ -423,85 +423,6 @@ def capture_engine_microbenchmark(rounds: int = 5,
         total_replay += best_replay
         replay.release()
     report["engine_speedup"] = total_dynamic / max(total_replay, 1e-12)
-    return report
-
-
-def ir_pass_study(rounds: int = 3, iterations: int = 20) -> Dict[str, float]:
-    """Replay throughput and fused-op counts per IR pass configuration.
-
-    For each Table VI candidate the training iteration is traced four times
-    and finalized under a different pass pipeline — no passes, spmm fusion
-    only, elementwise-chain fusion only, the full default pipeline — and the
-    steady-state replay epoch is timed for each (best of ``rounds`` windows
-    of ``iterations`` epochs).  Losses are bit-identical across
-    configurations by the IR contract (regression-tested in tests/test_ir),
-    so the study isolates what each pass contributes to replay throughput,
-    alongside the fused/replayed op counts from the plans.
-    """
-    import timeit
-
-    from repro.autograd import capture as _capture
-    from repro.autograd import functional as _F
-    from repro.autograd import optim as _optim
-    from repro.autograd.ir.passes import (fuse_elementwise_chains,
-                                          fuse_spmm_linear)
-    from repro.datasets import make_arxiv_dataset
-    from repro.nn.model_zoo import build_model
-
-    cfg = settings()
-    graph = prepare_node_dataset(
-        make_arxiv_dataset(scale=0.25 * cfg.dataset_scale, seed=0), seed=0)
-    data = GraphTensors.from_graph(graph)
-    labels = graph.labels
-    train_idx = graph.mask_indices("train")
-    configs = (
-        ("no_passes", ()),
-        ("spmm_fusion", (fuse_spmm_linear,)),
-        ("chain_fusion", (fuse_elementwise_chains,)),
-        ("all_passes", None),
-    )
-    report: Dict[str, float] = {}
-    for label, passes in configs:
-        total_seconds = 0.0
-        fused = 0
-        replayed = 0
-        for name in TABLE6_POOL:
-            model = build_model(name, data.num_features, graph.num_classes,
-                                hidden=cfg.hidden, seed=0)
-            optimizer = _optim.Adam(model.parameters(), lr=0.02,
-                                    weight_decay=5e-4)
-            scheduler = _optim.StepLR(optimizer)
-
-            def dynamic_epoch():
-                model.train()
-                optimizer.zero_grad()
-                logits = model(data)
-                loss = _F.cross_entropy(logits[train_idx], labels[train_idx])
-                loss.backward()
-                optimizer.step()
-                scheduler.step()
-                return float(loss.item())
-
-            tape = _capture.Tape()
-            with _capture.tracing(tape):
-                dynamic_epoch()
-            replay = tape.finalize(optimizer, scheduler, passes=passes)
-            assert replay is not None, f"{name}: {tape.failure}"
-            replay.run_epoch()
-            count = max(iterations // 4, 5) if name.startswith("gat") else iterations
-            best = float("inf")
-            for _ in range(max(rounds, 1)):
-                best = min(best,
-                           timeit.timeit(replay.run_epoch, number=count) / count)
-            total_seconds += best
-            fused += int(replay.plan.get("ops_fused", 0))
-            replayed += int(replay.plan["ops_replayed"])
-            replay.release()
-        report[f"ir_epoch_ms_{label}"] = total_seconds * 1000.0
-        report[f"ir_ops_fused_{label}"] = float(fused)
-        report[f"ir_ops_replayed_{label}"] = float(replayed)
-    report["ir_fusion_speedup"] = (report["ir_epoch_ms_no_passes"]
-                                   / max(report["ir_epoch_ms_all_passes"], 1e-9))
     return report
 
 
@@ -926,12 +847,13 @@ def hetero_runtime_study(epochs: int = 10,
 
 def resilience_overhead_microbenchmark(rounds: int = 7,
                                        epochs: int = 5) -> Dict[str, float]:
-    """Cost of the supervision machinery on the fault-free hot path.
+    """Cost of a retrying policy and an installed fault plan on the
+    fault-free hot path.
 
-    Runs the Table VI training pool through ``backend.map`` twice per
-    round, back to back: once on the legacy path (no policy, no plan) and
-    once through the supervised dispatch loop with a default
-    :class:`~repro.resilience.ResiliencePolicy` *and* an inert
+    Runs the Table VI training pool through the backend's one dispatch
+    loop twice per round, back to back: once with no policy and no plan
+    (``policy=None``, which the loop runs as try-once) and once with a
+    default :class:`~repro.resilience.ResiliencePolicy` *and* an inert
     :class:`~repro.resilience.FaultPlan` installed (a rule keyed to a site
     the backend never triggers, so every per-task hook runs but never
     fires).  Each task is one candidate's training on the benchmark-scale
@@ -1024,8 +946,9 @@ def check_resilience_overhead(max_overhead: float = 0.02,
 
     The ratio is a paired measurement on this machine (see
     :func:`resilience_overhead_microbenchmark`), so no checked-in baseline
-    is needed — the gate is absolute: supervised fault-free dispatch may
-    cost at most 2 % over the legacy path by default.
+    is needed — the gate is absolute: fault-free dispatch under the default
+    policy and an inert plan may cost at most 2 % over dispatch with no
+    policy by default.
     """
     measured = resilience_overhead_microbenchmark(rounds=rounds)
     print("resilience overhead gate:", measured)
@@ -1148,7 +1071,6 @@ def emit_runtime_baseline(path: str, repeats: int = 5) -> Dict[str, float]:
     payload.update(capture_speedup_study(repeats=7))
     engine = capture_engine_microbenchmark()
     payload["engine_speedup"] = engine["engine_speedup"]
-    payload.update(ir_pass_study())
     payload.update(ensemble_arena_study())
     payload["pool"] = list(MICROBENCH_POOL)
     payload["python"] = platform.python_version()
@@ -1307,8 +1229,9 @@ def _main() -> None:
     parser.add_argument("--repeats", type=int, default=5,
                         help="micro-benchmark repetitions (best-of)")
     parser.add_argument("--check-resilience-overhead", action="store_true",
-                        help="fail if fault-free supervised dispatch costs "
-                             "more than 2%% over the legacy map path")
+                        help="fail if fault-free dispatch under the default "
+                             "policy and an inert fault plan costs more than "
+                             "2%% over dispatch with no policy")
     arguments = parser.parse_args()
     if arguments.emit_baseline:
         measured = emit_runtime_baseline(arguments.emit_baseline, repeats=arguments.repeats)

@@ -36,9 +36,9 @@ this across the whole model zoo, all execution backends and both compute
 dtypes.
 
 Between trace and replay the recording is lowered to the graph-program IR
-(:mod:`repro.autograd.ir`): the program is verified, optimization passes run
-over it (operator fusion, see :mod:`repro.autograd.ir.passes`) and its arena
-is planned through the process-wide buffer pool
+(:mod:`repro.autograd.ir`): its epoch variance is marked and the program
+verified (:func:`~repro.autograd.ir.passes.run_passes`), and its arena is
+planned through the process-wide buffer pool
 (:mod:`repro.autograd.ir.arena`) so ensemble members share storage.
 :func:`build_inference_replay` derives a forward-only program (no backward
 schedule, no gradient or optimizer slots) for validation/serve paths.
@@ -66,7 +66,7 @@ from repro.autograd import tensor as _tensor
 from repro.autograd.ir.arena import global_pool, plan_arena
 from repro.autograd.ir.passes import run_passes, strip_training
 from repro.autograd.ir.program import (OpImpl, OpRecord, Program, SlotInfo,
-                                       mark_variance, verify_program)
+                                       verify_program)
 from repro.autograd.tensor import Tensor, _as_array, _reduce_extra_dims, _unbroadcast
 
 
@@ -261,46 +261,34 @@ class Tape:
             self.output_slot = slot
 
     # -- planning --------------------------------------------------------
-    def finalize(self, optimizer, scheduler, passes=None) -> Optional["Replay"]:
-        """Turn the recording into a :class:`Replay` program (or ``None``).
-
-        ``passes`` overrides the IR pass pipeline (``None`` runs the default
-        :data:`repro.autograd.ir.passes.DEFAULT_PASSES`; ``()`` disables
-        passes entirely).
-        """
+    def finalize(self, optimizer, scheduler) -> Optional["Replay"]:
+        """Turn the recording into a :class:`Replay` program (or ``None``)."""
         if self.failed or self.loss_slot is None or not self.ops:
             if self.failure is None:
                 self.failure = "no backward() observed during trace"
             note_bailout("trace", self.failure)
             return None
         try:
-            return self._build(optimizer, scheduler, passes)
+            return self._build(optimizer, scheduler)
         except Exception as exc:   # defensive: planning must never break training
             self.fail(f"finalize: {exc!r}")
             note_bailout("finalize", repr(exc))
             return None
 
-    def _build(self, optimizer, scheduler, passes=None) -> "Replay":
-        # Lower the recording to the graph-program IR, verify it, and run
-        # the optimization passes (fusion etc.) before scheduling.
+    def _build(self, optimizer, scheduler) -> "Replay":
+        # Lower the recording to the graph-program IR, then mark epoch
+        # variance (invariant slots are constant-folded below) and verify it
+        # before scheduling.
         program = Program(slots=self.slots, ops=self.ops,
                           loss_slot=self.loss_slot, output_slot=self.output_slot)
-        # Epoch-variance: parameters change under the optimiser, RNG ops draw
-        # fresh masks, effectful ops must re-run; everything downstream must
-        # be recomputed.  The rest is a pure function of graph constants —
-        # folded into the values captured during the trace.  Runs before the
-        # passes because fusion must not swallow foldable (invariant) links.
-        mark_variance(program)
-        verify_program(program)
-        pass_stats = run_passes(program, OPS, passes)
+        run_passes(program)
         slots = program.slots
 
         forward_ops = [op for op in program.ops if slots[op.out].variant]
 
         # Mirror of ``Tensor.backward``'s iterative DFS, operating on slots.
         # The graph is isomorphic (prev tuples are the recorded ``_prev``
-        # tuples; fused records splice their external parents in the same
-        # nesting order), so the resulting order — and therefore the float
+        # tuples), so the resulting order — and therefore the float
         # accumulation order of every multi-consumer gradient — is identical.
         prev_of = {op.out: op.prev for op in program.ops}
         order: List[int] = []
@@ -322,8 +310,6 @@ class Tape:
 
         plan, leased = plan_arena(program, forward_ops, bwd_slots,
                                   (self.loss_slot,), global_pool())
-        plan["passes"] = pass_stats
-        plan["ops_fused"] = sum(s.get("fused", 0) for s in pass_stats)
 
         # Backward schedule (producer ops in mirrored DFS order) and the
         # per-slot contribution count.  A slot receiving exactly one gradient
@@ -340,7 +326,7 @@ class Tape:
                     n_contrib[s] = n_contrib.get(s, 0) + 1
 
         leaves = [(info.index, info.tensor) for info in slots
-                  if info.producer is None and not info.dead]
+                  if info.producer is None]
         values: List[Optional[np.ndarray]] = [None] * len(slots)
         for info in slots:
             if info.producer is not None and not info.variant:
@@ -716,18 +702,6 @@ def tracing(tape: Tape):
         yield tape
     finally:
         _tensor._TRACE.tape = None
-
-
-def supports_capture(model) -> bool:
-    """Static pre-check for capture support; currently always true.
-
-    ``BatchNorm`` — the one historical rejection — now records its
-    running-stat update as an effectful ``bn_stats`` op, so its side effects
-    replay exactly.  Models recording ops without a replay twin still fail
-    softly at trace time (with a :class:`CaptureBailoutWarning`); the static
-    check remains as an API hook for genuinely uncapturable modules.
-    """
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1318,50 +1292,6 @@ def _bwd_scatter_add(op, rt, g):
 _register(OpImpl("scatter_add", _fwd_scatter_add, _bwd_scatter_add))
 
 
-def _fwd_attn_gather_scatter(op, rt):
-    # Fused attention aggregation: the exact index_select → broadcast-mul →
-    # scatter_add kernels of the ops it replaces, staged through private
-    # scratch so the gathered features and the weighted product never take
-    # arena slots or pay three dispatches.  ``alpha`` arrives un-reshaped;
-    # the (E, H) → (E, H, 1) view is free and value-preserving.
-    h = rt.values[op.ins[0]]
-    alpha = rt.values[op.ins[1]].reshape(op.meta["alpha_shape"])
-    index = op.meta["gather_index"]
-    gathered = _state_buffer(op, "gathered", (len(index),) + h.shape[1:],
-                             h.dtype)
-    np.take(h, index, axis=0, out=gathered)
-    product = np.multiply(gathered, alpha,
-                          out=_state_buffer(op, "product", gathered.shape,
-                                            gathered.dtype))
-    _out(op, rt, _scatter_sum_into(op, "out", product, op.meta["index"],
-                                   op.meta["dim_size"], op.meta["aggregate"]))
-
-
-def _bwd_attn_gather_scatter(op, rt, g):
-    # scatter_add backward first (gather the node grads to edges — same
-    # values as ``g[index]``), then the mul / reshape / index_select
-    # backwards verbatim, contributing in the unfused schedule's order:
-    # alpha before the gathered features.
-    gedge = _state_buffer(op, "gedge", op.state["product"].shape, g.dtype)
-    np.take(g, op.meta["index"], axis=0, out=gedge)
-    if op.in_requires[1]:
-        tmp = np.multiply(gedge, op.state["gathered"],
-                          out=_state_buffer(op, "gb_tmp", gedge.shape, g.dtype))
-        rt.contribute(op.ins[1],
-                      _unbroadcast(tmp, op.meta["alpha_shape"])
-                      .reshape(op.in_shapes[1]))
-    if op.in_requires[0]:
-        alpha = rt.values[op.ins[1]].reshape(op.meta["alpha_shape"])
-        np.multiply(gedge, alpha, out=gedge)
-        rt.contribute(op.ins[0], _scatter_sum_into(
-            op, "grad_h", gedge, op.meta["gather_index"],
-            op.in_shapes[0][0], op.meta["gather_scatter"]))
-
-
-_register(OpImpl("attn_gather_scatter", _fwd_attn_gather_scatter,
-                 _bwd_attn_gather_scatter, bwd_reads_in=True))
-
-
 def _fwd_scatter_max(op, rt):
     src = rt.values[op.ins[0]]
     index = op.meta["index"]
@@ -1467,8 +1397,7 @@ def _fwd_spmm_bias_act(op, rt):
     # landing in a persistent buffer: A @ (X W) or (A X) @ W, bias added
     # in place after propagation, fused activation applied in place.  The
     # leaky_relu/elu branches stage the same masked expressions the dynamic
-    # kernel (and the composed functional ops the fusion pass collapses)
-    # evaluate, with the elu gradient local computed from the
+    # kernel evaluates, with the elu gradient local computed from the
     # *pre-activation* value — reconstructing it from the output would not
     # be bit-identical.
     operator = op.meta["operator"]
@@ -1652,135 +1581,6 @@ def _bwd_gsddmm(op, rt, g):
 
 
 _register(OpImpl("gsddmm", _fwd_gsddmm, _bwd_gsddmm, bwd_reads_in=True))
-
-
-# -- fused elementwise chains (created by the IR fusion pass) ----------------
-def _stage_key(index: int, name: str) -> str:
-    return f"s{index}_{name}"
-
-
-def _fwd_ew_chain(op, rt):
-    # One arena visit for a run of mask-backward elementwise ops, staged in
-    # place on the output buffer.  Every stage evaluates exactly the
-    # expressions of its standalone twin (same RNG draws, same masked
-    # copies), reading its input *before* overwriting it, so the chain's
-    # values — and every stage-local backward mask — are bit-identical to
-    # the unfused program.
-    values = rt.values
-    buf = op.buffer
-    needs = op.needs_backward
-    leader = op.meta["leader"]
-    if leader is not None:
-        a, b = values[op.ins[0]], values[op.ins[1]]
-        if leader == "add":
-            np.add(a, b, out=buf)
-        else:
-            np.subtract(a, b, out=buf)
-        src = buf
-    else:
-        src = values[op.ins[0]]
-    for index, (kind, meta) in enumerate(op.meta["stages"]):
-        if kind == "relu":
-            if needs:
-                mask = _state_buffer(op, _stage_key(index, "mask"),
-                                     buf.shape, np.bool_)
-                np.greater(src, 0, out=mask)
-            np.maximum(src, 0.0, out=buf)
-        elif kind == "leaky_relu":
-            slope = meta["negative_slope"]
-            positive = _state_buffer(op, _stage_key(index, "positive"),
-                                     buf.shape, np.bool_)
-            np.greater(src, 0, out=positive)
-            if src is buf:
-                negative = _state_buffer(op, _stage_key(index, "negative"),
-                                         buf.shape, np.bool_)
-                np.logical_not(positive, out=negative)
-                np.multiply(buf, slope, out=buf, where=negative)
-            else:
-                np.multiply(src, slope, out=buf)
-                np.copyto(buf, src, where=positive)
-        elif kind == "elu":
-            alpha = meta["alpha"]
-            positive = _state_buffer(op, _stage_key(index, "positive"),
-                                     buf.shape, np.bool_)
-            np.greater(src, 0, out=positive)
-            if needs:
-                # The gradient local must come from the pre-activation value.
-                local = _state_buffer(op, _stage_key(index, "local"),
-                                      buf.shape, buf.dtype)
-                np.minimum(src, 0.0, out=local)
-                np.exp(local, out=local)
-                np.multiply(alpha, local, out=local)
-                local[positive] = 1.0
-            if src is buf:
-                scratch = _state_buffer(op, _stage_key(index, "scratch"),
-                                        buf.shape, buf.dtype)
-                np.minimum(buf, 0.0, out=scratch)
-                np.expm1(scratch, out=scratch)
-                scratch *= alpha
-                negative = _state_buffer(op, _stage_key(index, "negative"),
-                                         buf.shape, np.bool_)
-                np.logical_not(positive, out=negative)
-                np.copyto(buf, scratch, where=negative)
-            else:
-                np.minimum(src, 0.0, out=buf)
-                np.expm1(buf, out=buf)
-                buf *= alpha
-                np.copyto(buf, src, where=positive)
-        elif kind == "dropout":
-            p = meta["p"]
-            uniform = _state_buffer(op, _stage_key(index, "uniform"),
-                                    buf.shape, np.float64)
-            keep = _state_buffer(op, _stage_key(index, "keep"),
-                                 buf.shape, np.bool_)
-            mask = _state_buffer(op, _stage_key(index, "mask"),
-                                 buf.shape, buf.dtype)
-            meta["rng"].random(out=uniform)
-            np.greater_equal(uniform, p, out=keep)
-            # bool upcasts to exact 0.0 / 1.0 inside the divide (one pass).
-            np.divide(keep, 1.0 - p, out=mask)
-            np.multiply(src, mask, out=buf)
-        else:  # drop_node — fresh per-epoch mask, like the standalone twin
-            p = meta["p"]
-            mask = _as_array(
-                (meta["rng"].random((buf.shape[0], 1)) >= p) / (1.0 - p))
-            op.state[_stage_key(index, "mask")] = mask
-            np.multiply(src, mask, out=buf)
-        src = buf
-    _out(op, rt, buf)
-
-
-def _bwd_ew_chain(op, rt, g):
-    stages = op.meta["stages"]
-    for index in range(len(stages) - 1, -1, -1):
-        kind, meta = stages[index]
-        if kind == "leaky_relu":
-            grad = _state_buffer(op, _stage_key(index, "grad"), g.shape, g.dtype)
-            np.multiply(g, meta["negative_slope"], out=grad)
-            np.copyto(grad, g, where=op.state[_stage_key(index, "positive")])
-            g = grad
-        elif kind == "drop_node":
-            g = g * op.state[_stage_key(index, "mask")]
-        else:   # relu / elu / dropout: g × stage-local mask
-            local = op.state[_stage_key(
-                index, "local" if kind == "elu" else "mask")]
-            g = np.multiply(g, local, out=_state_buffer(
-                op, _stage_key(index, "grad"), g.shape, g.dtype))
-    leader = op.meta["leader"]
-    if leader is None:
-        if op.in_requires[0]:
-            rt.contribute(op.ins[0], g)
-        return
-    sa, sb = op.in_shapes
-    if op.in_requires[0]:
-        rt.contribute(op.ins[0], _unbroadcast(g, sa))
-    if op.in_requires[1]:
-        rt.contribute(op.ins[1], _unbroadcast(g if leader == "add" else -g, sb))
-
-
-_register(OpImpl("ew_chain", _fwd_ew_chain, _bwd_ew_chain, out_mode="buffer"))
-_register(OpImpl("ew_chain_rng", _fwd_ew_chain, _bwd_ew_chain,
-                 out_mode="buffer", rng=True))
 
 
 # -- BatchNorm running statistics (effectful identity) -----------------------

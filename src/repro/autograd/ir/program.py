@@ -2,18 +2,17 @@
 
 A traced iteration lowers to a :class:`Program` — a flat, single-assignment
 sequence of :class:`OpRecord` ops over integer *slots* (:class:`SlotInfo`).
-The IR makes the def/use structure of the tape explicit so that passes
-(:mod:`repro.autograd.ir.passes`) can rewrite it between trace and replay:
+The IR makes the def/use structure of the tape explicit for the steps
+between trace and replay (:mod:`repro.autograd.ir.passes`, arena planning):
 each op names the slot it defines (``out``), the slots it reads (``ins``),
 the autograd graph edges it contributes (``prev``, mirroring the dynamic
 engine's ``Tensor._prev`` tuples) and the replay twin that executes it
 (:class:`OpImpl`).
 
-The contract every rewrite must preserve is *bit-identity*: replaying a
-transformed program produces exactly the floats the dynamic engine would.
+The contract every derived program must preserve is *bit-identity*:
+replaying it produces exactly the floats the dynamic engine would.
 :func:`verify_program` checks the structural half of that contract —
-single assignment, defined-before-use, dead slots genuinely dead — after
-every pass.
+single assignment, defined-before-use, defined roots.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ class SlotInfo:
     producer: Optional[OpRecord] = None
     variant: bool = False
     view_base: Optional[int] = None
-    dead: bool = False                    # killed by a pass; never materialised
 
 
 @dataclass
@@ -97,14 +95,6 @@ class Program:
     def producer_map(self) -> Dict[int, OpRecord]:
         return {op.out: op for op in self.ops}
 
-    def use_counts(self) -> Dict[int, int]:
-        """How many op operands read each slot (root reads not included)."""
-        uses: Dict[int, int] = {}
-        for op in self.ops:
-            for s in op.ins:
-                uses[s] = uses.get(s, 0) + 1
-        return uses
-
 
 def mark_variance(program: Program) -> None:
     """Epoch-variance analysis over the program, in place.
@@ -118,7 +108,7 @@ def mark_variance(program: Program) -> None:
     slots = program.slots
     for info in slots:
         if info.producer is None:
-            info.variant = info.requires_grad and not info.dead
+            info.variant = info.requires_grad
     for op in program.ops:
         info = slots[op.out]
         info.variant = (op.impl.rng or op.impl.effectful
@@ -134,10 +124,10 @@ def verify_program(program: Program, check_producers: bool = True) -> None:
 
     Invariants: slots indexed densely; ops are single-assignment and read
     only already-defined slots; operand tuples are internally consistent;
-    dead slots are never read, never defined and never a root; root slots
-    (loss/output) are defined.  ``check_producers=False`` relaxes the
-    ``slots[op.out].producer is op`` identity for derived programs (e.g.
-    inference programs) that share slot metadata with their parent.
+    root slots (loss/output) are defined.  ``check_producers=False``
+    relaxes the ``slots[op.out].producer is op`` identity for derived
+    programs (e.g. inference programs) that share slot metadata with their
+    parent.
     """
     slots, ops = program.slots, program.ops
     n = len(slots)
@@ -146,7 +136,7 @@ def verify_program(program: Program, check_producers: bool = True) -> None:
             raise IRVerificationError(f"slot {index} carries index {info.index}")
     defined = set()
     for info in slots:
-        if info.producer is None and not info.dead:
+        if info.producer is None:
             defined.add(info.index)
     for position, op in enumerate(ops):
         if not (len(op.ins) == len(op.in_requires) == len(op.in_shapes)):
@@ -159,9 +149,6 @@ def verify_program(program: Program, check_producers: bool = True) -> None:
             if not 0 <= s < n:
                 raise IRVerificationError(
                     f"op {position} ({op.kind}) reads out-of-range slot {s}")
-            if slots[s].dead:
-                raise IRVerificationError(
-                    f"op {position} ({op.kind}) reads dead slot {s}")
             if s not in defined:
                 raise IRVerificationError(
                     f"op {position} ({op.kind}) reads slot {s} before definition")
@@ -171,9 +158,6 @@ def verify_program(program: Program, check_producers: bool = True) -> None:
         if op.out in defined:
             raise IRVerificationError(
                 f"op {position} ({op.kind}) redefines slot {op.out}")
-        if slots[op.out].dead:
-            raise IRVerificationError(
-                f"op {position} ({op.kind}) defines dead slot {op.out}")
         if check_producers and slots[op.out].producer is not op:
             raise IRVerificationError(
                 f"op {position} ({op.kind}): slots[{op.out}].producer mismatch")
@@ -183,5 +167,3 @@ def verify_program(program: Program, check_producers: bool = True) -> None:
             continue
         if not 0 <= root < n or root not in defined:
             raise IRVerificationError(f"{name} slot {root} is not defined")
-        if slots[root].dead:
-            raise IRVerificationError(f"{name} slot {root} is dead")

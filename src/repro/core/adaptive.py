@@ -137,6 +137,11 @@ class AdaptiveSearch:
             for depth in range(1, self.max_layers + 1)
         ]
         report = self.backend.map(_score_depth, tasks, policy=self.policy)
+        if len(report.results) != len(tasks):
+            raise RuntimeError(
+                f"adaptive search got {len(report.results)} results for "
+                f"{len(tasks)} grid points; a grid without a budget must "
+                "resolve every point")
         for failure in report.failures:
             failure.context.setdefault(
                 "architecture", self.pool[failure.index // self.max_layers])

@@ -213,11 +213,10 @@ class AutoHEnsGNNConfig:
     # record the epoch program once per training run, replay it with a
     # lifetime-planned buffer arena — bit-identical at fixed seeds.
     capture: bool = True
-    # Supervised execution (repro.resilience): None = legacy dispatch,
-    # bit-identical to a build without the resilience layer.  A
-    # ResiliencePolicy adds bounded retries with seeded backoff, per-task
-    # timeouts, broken-pool rebuild with process -> thread -> serial
-    # degradation, and — with on_failure="drop" — partial results with
+    # Supervised execution (repro.resilience): None = try each task once
+    # and raise its error (backends.TRY_ONCE).  A ResiliencePolicy adds
+    # bounded retries with seeded backoff, per-task timeouts, broken-pool
+    # rebuild with process -> thread -> serial degradation, and — with on_failure="drop" — partial results with
     # structured FailureReports in PipelineResult.details["failures"].
     resilience: Optional[ResiliencePolicy] = None
 

@@ -100,7 +100,9 @@ class HierarchicalEnsemble:
         beta = self.effective_beta()
         total = None
         for weight, ensemble in zip(beta, self.ensembles):
-            probabilities = ensemble.predict_proba(data) * weight
+            probabilities = ensemble.predict_proba(data)
+            # β is float64; a float64 scalar would promote float32 members.
+            probabilities = probabilities * probabilities.dtype.type(weight)
             total = probabilities if total is None else total + probabilities
         return total
 

@@ -25,15 +25,14 @@ Three implementations ship:
   graph per task; an executor-initializer path that ships shared state once
   per worker is the natural next optimisation if IPC ever dominates.
 
-Supervision (``repro.resilience``): passing a
-:class:`~repro.resilience.policy.ResiliencePolicy` turns ``map`` into a
-supervised dispatch loop — bounded retries with seeded exponential backoff,
-per-task timeouts on the pooled backends, structured
-:class:`~repro.resilience.policy.FailureReport` records under
-``on_failure="drop"``, and (for the process backend) broken-pool detection
-with rebuild and a process → thread → serial degradation chain.  With
-``policy=None`` the exact legacy dispatch code runs, so the no-fault path
-stays bit-identical to a build without the resilience layer.  The
+Supervision (``repro.resilience``): each backend has one dispatch loop,
+driven by a :class:`~repro.resilience.policy.ResiliencePolicy` — bounded
+retries with seeded exponential backoff, per-task timeouts on the pooled
+backends, structured :class:`~repro.resilience.policy.FailureReport` records
+under ``on_failure="drop"``, and (for the process backend) broken-pool
+detection with rebuild and a process → thread → serial degradation chain.
+``policy=None`` runs the same loop under :data:`TRY_ONCE`: one attempt per
+task, the first error raised, no timeout, no rebuild, no degradation.  The
 ``"backend.task"`` fault-injection site wraps every dispatched task; it is a
 single ``None`` check unless a :class:`~repro.resilience.faults.FaultPlan`
 is installed.
@@ -64,6 +63,11 @@ from repro.resilience.policy import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle: automl.budget -> core -> nn -> parallel
     from repro.automl.budget import TimeBudget
 
+#: The policy ``map(policy=None)`` runs under: try each task once and raise
+#: its error; no timeout, no pool rebuild, no degradation.
+TRY_ONCE = ResiliencePolicy(max_retries=0, on_failure="raise",
+                            max_pool_rebuilds=0, degrade=False)
+
 
 @dataclass
 class MapReport:
@@ -75,8 +79,8 @@ class MapReport:
     elapsed: float
     backend: str
     details: dict = field(default_factory=dict)
-    #: Tasks that exhausted their attempts under a ``drop`` policy; their
-    #: slot in ``results`` holds ``None``.  Empty for unsupervised maps.
+    #: Tasks that exhausted their attempts (or were lost with a broken pool)
+    #: under a ``drop`` policy; their slot in ``results`` holds ``None``.
     failures: List[FailureReport] = field(default_factory=list)
 
     def __iter__(self):
@@ -195,27 +199,8 @@ class SerialBackend(ExecutionBackend):
     def map(self, fn: Callable[[object], object], items: Sequence[object],
             budget: Optional["TimeBudget"] = None, min_results: int = 1,
             policy: Optional[ResiliencePolicy] = None) -> MapReport:
-        if policy is not None:
-            return self._supervised_map(fn, list(items), budget, min_results,
-                                        policy.check())
+        policy = TRY_ONCE if policy is None else policy.check()
         items = list(items)
-        start = time.time()
-        results: List[object] = []
-        plan = _faults.active_plan()
-        for index, item in enumerate(items):
-            if not self._may_dispatch(budget, time.time() - start, len(results),
-                                      index, min_results):
-                break
-            if plan is not None:
-                plan.trigger("backend.task", index=index, attempt=0,
-                             backend=self.name)
-            results.append(fn(item))
-        return MapReport(results=results, dispatched=len(results),
-                         skipped=len(items) - len(results),
-                         elapsed=time.time() - start, backend=self.name)
-
-    def _supervised_map(self, fn, items, budget, min_results,
-                        policy: ResiliencePolicy) -> MapReport:
         start = time.time()
         plan = _faults.active_plan()
         results: List[object] = [None] * len(items)
@@ -311,86 +296,13 @@ class _PoolBackend(ExecutionBackend):
     def map(self, fn: Callable[[object], object], items: Sequence[object],
             budget: Optional["TimeBudget"] = None, min_results: int = 1,
             policy: Optional[ResiliencePolicy] = None) -> MapReport:
-        if policy is not None:
-            return self._supervised_map(fn, list(items), budget, min_results,
-                                        policy.check())
-        items = list(items)
-        start = time.time()
-        if not items:
-            return MapReport(results=[], dispatched=0, skipped=0, elapsed=0.0,
-                             backend=self.name)
-        results: List[object] = [None] * len(items)
-        completed = 0
-        next_index = 0
-        total_latency = 0.0
-        pool = self._ensure_pool()
-        pending = {}
-        submit_times = {}
-        plan = _faults.active_plan()
-
-        def submit(index: int) -> "concurrent.futures.Future":
-            if plan is None:
-                return pool.submit(fn, items[index])
-            return pool.submit(_call_with_faults, fn, plan, self.name,
-                               index, 0, items[index])
-
-        try:
-            # The initial fill consults the budget too, so a nearly-exhausted
-            # budget dispatches (close to) the min_results prefix the serial
-            # backend would run instead of a full worker wave.
-            while next_index < len(items) and next_index < self.max_workers \
-                    and self._may_dispatch(budget, total_latency, completed,
-                                           next_index, min_results):
-                future = submit(next_index)
-                pending[future] = next_index
-                submit_times[future] = time.time()
-                next_index += 1
-            while pending:
-                done, _ = concurrent.futures.wait(
-                    pending, return_when=concurrent.futures.FIRST_COMPLETED)
-                for future in done:
-                    index = pending.pop(future)
-                    results[index] = future.result()
-                    # Per-task latency, not wall clock: a new task finishes
-                    # roughly one latency from now regardless of how many
-                    # workers ran in parallel meanwhile.
-                    total_latency += time.time() - submit_times.pop(future)
-                    completed += 1
-                # Refill up to max_workers, not one-per-completion: a
-                # budget-capped initial fill must be able to ramp back up
-                # once observed latencies show there is headroom.
-                while next_index < len(items) and len(pending) < self.max_workers \
-                        and self._may_dispatch(budget, total_latency, completed,
-                                               next_index, min_results):
-                    submitted = submit(next_index)
-                    pending[submitted] = next_index
-                    submit_times[submitted] = time.time()
-                    next_index += 1
-        except BaseException as exc:
-            for future in pending:
-                future.cancel()
-            # cancel() cannot stop already-running tasks, and thread tasks
-            # mutate live objects (GSE members) — wait them out so the caller
-            # never observes background mutation after map() has raised.
-            if pending and not isinstance(exc, concurrent.futures.BrokenExecutor):
-                concurrent.futures.wait(list(pending))
-            if isinstance(exc, concurrent.futures.BrokenExecutor):
-                self.close()  # next map() gets a fresh pool
-            raise
-        return MapReport(results=results[:next_index], dispatched=next_index,
-                         skipped=len(items) - next_index,
-                         elapsed=time.time() - start, backend=self.name)
-
-    # ------------------------------------------------------------------
-    # Supervised dispatch
-    # ------------------------------------------------------------------
-    def _supervised_map(self, fn, items, budget, min_results,
-                        policy: ResiliencePolicy) -> MapReport:
-        """Retry/timeout/rebuild-aware dispatch loop (``policy`` is not None).
+        """Retry/timeout/rebuild-aware dispatch loop (``policy=None`` runs it
+        under :data:`TRY_ONCE`).
 
         Invariants: every admitted item ends *resolved* — a success, a
         recorded :class:`FailureReport` (``on_failure="drop"``) or the cause
-        of the re-raised error (``on_failure="raise"``).
+        of the re-raised error (``on_failure="raise"``, raised after the
+        in-flight tasks are awaited, or with the pool closed if it broke).
 
         A broken pool is charged only to the task that broke it.  When one
         task was in flight, that task is charged one attempt.  When several
@@ -402,8 +314,12 @@ class _PoolBackend(ExecutionBackend):
         times, re-dispatching only unfinished items; past that the
         unresolved remainder is delegated to the next backend in the
         degradation chain (process → thread → serial) when
-        ``policy.degrade`` allows.
+        ``policy.degrade`` allows.  Without a fallback, every unresolved
+        item — admitted or kept from admission by the break — gets a
+        ``worker_crash`` report carrying the attempts actually charged to it.
         """
+        policy = TRY_ONCE if policy is None else policy.check()
+        items = list(items)
         start = time.time()
         count = len(items)
         if count == 0:
@@ -426,6 +342,7 @@ class _PoolBackend(ExecutionBackend):
         deadlines: Dict["concurrent.futures.Future", float] = {}
         retry_queue: List = []  # heap of (due_time, index)
         details: dict = {}
+        lost_to: Optional[BaseException] = None  # break that ended dispatch
         pool = self._ensure_pool()
 
         def submit(index: int) -> None:
@@ -508,6 +425,9 @@ class _PoolBackend(ExecutionBackend):
                         continue
                     results[index] = value
                     resolved[index] = True
+                    # Per-task latency, not wall clock: a new task finishes
+                    # roughly one latency from now regardless of how many
+                    # workers ran in parallel meanwhile.
                     total_latency += time.time() - submitted_at
                     completed += 1
                 if broken is not None:
@@ -528,10 +448,17 @@ class _PoolBackend(ExecutionBackend):
                     rebuilds += 1
                     self.close()
                     if rebuilds > policy.max_pool_rebuilds:
-                        return self._degrade_remaining(
-                            fn, items, budget, min_results, policy, results,
-                            failures, resolved, admitted, retries, rebuilds,
-                            start, broken)
+                        fallback = (self._fallback_backend() if policy.degrade
+                                    else None)
+                        if fallback is not None:
+                            return self._degrade_remaining(
+                                fallback, fn, items, budget, min_results,
+                                policy, results, failures, resolved, admitted,
+                                retries, rebuilds, start)
+                        if policy.on_failure == "raise":
+                            raise broken
+                        lost_to = broken
+                        break
                     pool = self._ensure_pool()
                 elif policy.task_timeout is not None:
                     now = time.time()
@@ -554,11 +481,26 @@ class _PoolBackend(ExecutionBackend):
         except BaseException as exc:
             for future in pending:
                 future.cancel()
+            # cancel() cannot stop already-running tasks, and thread tasks
+            # mutate live objects (GSE members) — wait them out so the caller
+            # never observes background mutation after map() has raised.
             if pending and not isinstance(exc, concurrent.futures.BrokenExecutor):
                 concurrent.futures.wait(list(pending))
             if isinstance(exc, concurrent.futures.BrokenExecutor):
-                self.close()
+                self.close()  # next map() gets a fresh pool
             raise
+        if lost_to is not None:
+            # Items the break kept from admission are lost too, unless the
+            # budget had stopped admitting them anyway.
+            if self._may_dispatch(budget, total_latency, completed, admitted,
+                                  min_results):
+                admitted = count
+            now = time.time()
+            for index in range(admitted):
+                if not resolved[index]:
+                    failures.append(self._make_failure(
+                        index, lost_to, attempts[index], self.name,
+                        now - first_submit.get(index, now)))
         details["retries"] = retries
         if rebuilds:
             details["pool_rebuilds"] = rebuilds
@@ -567,27 +509,11 @@ class _PoolBackend(ExecutionBackend):
                          elapsed=time.time() - start, backend=self.name,
                          details=details, failures=failures)
 
-    def _degrade_remaining(self, fn, items, budget, min_results,
-                           policy: ResiliencePolicy, results, failures,
-                           resolved, admitted, retries, rebuilds, start,
-                           cause: BaseException) -> MapReport:
-        """Delegate every unresolved item to the next backend in the chain."""
-        fallback = self._fallback_backend() if policy.degrade else None
-        if fallback is None:
-            if policy.on_failure == "raise":
-                raise cause
-            # No chain left: fail whatever is still unresolved.
-            for index in range(len(items)):
-                if index < admitted and not resolved[index]:
-                    failures.append(self._make_failure(
-                        index, cause, policy.max_attempts, self.name, 0.0))
-                    resolved[index] = True
-            return MapReport(results=results[:admitted], dispatched=admitted,
-                             skipped=len(items) - admitted,
-                             elapsed=time.time() - start, backend=self.name,
-                             details={"retries": retries,
-                                      "pool_rebuilds": rebuilds},
-                             failures=failures)
+    def _degrade_remaining(self, fallback: "ExecutionBackend", fn, items,
+                           budget, min_results, policy: ResiliencePolicy,
+                           results, failures, resolved, admitted, retries,
+                           rebuilds, start) -> MapReport:
+        """Delegate every unresolved item to ``fallback``, the next backend."""
         sub_indices = [index for index in range(len(items))
                        if not resolved[index]]
         sub_items = [items[index] for index in sub_indices]

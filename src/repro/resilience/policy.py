@@ -14,8 +14,9 @@ Backoff delays are a deterministic function of ``(seed, index, attempt)``:
 two runs of the same plan sleep the same schedule, which keeps chaos tests
 reproducible.
 
-The no-policy path is untouched: ``policy=None`` selects the exact legacy
-dispatch code, so results stay bit-identical to a build without this module.
+``policy=None`` runs the same dispatch loop under
+:data:`repro.parallel.backends.TRY_ONCE` (one attempt, the error raised);
+fault-free results are bit-identical under any policy.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class ResiliencePolicy:
         its eventual result is discarded, and — on the thread backend — its
         side effects may still land, so timed-out tasks must be idempotent.
     on_failure : str
-        ``"raise"`` re-raises the final error once attempts are exhausted
-        (legacy semantics, plus retries); ``"drop"`` records a
+        ``"raise"`` re-raises the final error once attempts are exhausted;
+        ``"drop"`` records a
         :class:`FailureReport`, leaves ``None`` at the task's result slot and
         keeps the run alive.
     max_pool_rebuilds : int
@@ -108,7 +109,8 @@ class ResiliencePolicy:
         in-flight tasks that charges none of them.
     degrade : bool
         Whether the degradation chain is enabled at all; with ``False`` a
-        repeatedly broken pool fails the unfinished tasks instead.
+        repeatedly broken pool fails the unfinished tasks instead, each
+        reported with the attempts actually charged to it.
     seed : int
         Seed of the deterministic backoff jitter.
     """

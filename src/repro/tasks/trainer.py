@@ -319,8 +319,7 @@ class NodeClassificationTrainer:
         batch_replays: List[object] = []
 
         if not config.batch_size:  # None or the explicit full-batch 0
-            capture_state["enabled"] = (config.capture
-                                        and capture_engine.supports_capture(model))
+            capture_state["enabled"] = config.capture
             run_epoch = captured_epoch
         else:
             sampler = NeighborSampler(

@@ -189,6 +189,13 @@ class TestPipeline:
                                    tiny_split_graph.mask_indices("test"))
         assert acc > 2.0 / tiny_split_graph.num_classes
 
+    def test_float32_fit_keeps_float32_probabilities(self, tiny_split_graph):
+        config = _fast_config(SearchMethod.ADAPTIVE)
+        config.compute_dtype = "float32"
+        fitted = AutoHEnsGNN(config).fit(tiny_split_graph, pool=["gcn", "sgc"])
+        assert fitted.fit_report.probabilities.dtype == np.float32
+        assert fitted.predict_proba(tiny_split_graph).dtype == np.float32
+
 
 class TestAutomlLayer:
     def test_time_budget_tracking(self):

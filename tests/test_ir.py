@@ -1,19 +1,16 @@
 """Graph-program IR tests (repro.autograd.ir).
 
 The IR contract: lowering a traced tape to a Program, verifying it and
-running *any* sequence of optimization passes must leave the replayed
-trajectory bit-identical to the dynamic engine — fusion and dead-slot
-elimination change the schedule, never the floats.  These tests pin the
-verifier's structural invariants, per-pass bit-identity, a property test
-over random pass orderings, the fused leaky_relu/elu activations and the
-arena pool's cross-member reuse.
+replaying it must leave the trajectory bit-identical to the dynamic engine.
+These tests pin the verifier's structural invariants, replay bit-identity,
+the fused ``spmm_bias_act`` leaky_relu/elu activations, inference stripping
+and the arena pool's cross-member reuse.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor, functional as F, gradcheck, optim, sparse
 from repro.autograd.capture import (CaptureBailout, Tape,
@@ -21,9 +18,6 @@ from repro.autograd.capture import (CaptureBailout, Tape,
 from repro.autograd.ir import (ArenaPool, IRVerificationError, OpImpl,
                                OpRecord, Program, SlotInfo, global_pool,
                                mark_variance, pooling_disabled, verify_program)
-from repro.autograd.ir.passes import (DEFAULT_PASSES, fuse_attention_gather,
-                                      fuse_elementwise_chains,
-                                      fuse_spmm_linear)
 from repro.autograd.module import Parameter
 from repro.autograd.sparse import SparseTensor
 
@@ -52,12 +46,8 @@ def _make_params(f=6, h=5, c=3, seed=1):
 
 
 def _iteration(operator, features, targets, params, optimizer, scheduler, rng):
-    """One step whose tape triggers *both* fusion passes.
-
-    ``spmm → matmul → add(bias) → relu`` collapses into one fused
-    ``spmm_bias_act`` visit, and ``leaky_relu → dropout`` into one
-    elementwise chain.
-    """
+    """One step: dropout, ``spmm → matmul → add(bias) → relu``, then
+    ``matmul → leaky_relu → dropout`` into the loss."""
     w1, b1, w2 = params
     optimizer.zero_grad()
     h = F.dropout(features, 0.15, training=True, rng=rng)
@@ -74,7 +64,7 @@ def _iteration(operator, features, targets, params, optimizer, scheduler, rng):
     return float(loss.item()), h
 
 
-def _run(passes, epochs=5, seed=0, replay=True):
+def _run(epochs=5, seed=0, replay=True):
     """Trace one iteration, then replay (or re-run dynamically) ``epochs``."""
     operator, features, targets = _fixture(seed)
     params = _make_params(seed=seed + 1)
@@ -90,7 +80,7 @@ def _run(passes, epochs=5, seed=0, replay=True):
     tape.mark_output(logits)
     program = None
     if replay:
-        rep = tape.finalize(optimizer, scheduler, passes=passes)
+        rep = tape.finalize(optimizer, scheduler)
         assert rep is not None, tape.failure
         program = rep
         for _ in range(epochs):
@@ -127,7 +117,7 @@ def _op(impl, out, ins):
 
 
 def test_verifier_accepts_traced_program():
-    _, _, replay = _run(passes=None, epochs=1)
+    _, _, replay = _run(epochs=1)
     verify_program(replay.program)          # idempotent re-verification
 
 
@@ -151,16 +141,6 @@ def test_verifier_rejects_read_before_definition():
         verify_program(program)
 
 
-def test_verifier_rejects_dead_slot_reads():
-    impl = _noop_impl()
-    slots = [_slot(0, dead=True), _slot(1)]
-    op = _op(impl, 1, [0])
-    slots[1].producer = op
-    program = Program(slots=slots, ops=[op])
-    with pytest.raises(IRVerificationError, match="dead"):
-        verify_program(program)
-
-
 def test_mark_variance_propagates_from_parameters():
     impl = _noop_impl()
     slots = [_slot(0), _slot(1), _slot(2), _slot(3)]
@@ -174,47 +154,27 @@ def test_mark_variance_propagates_from_parameters():
 
 
 # ----------------------------------------------------------------------
-# Pass pipeline bit-identity
+# Replay bit-identity
 # ----------------------------------------------------------------------
 PASS_CONFIGS = {
-    "no-passes": (),
-    "spmm-only": (fuse_spmm_linear,),
-    "chains-only": (fuse_elementwise_chains,),
-    "attention-only": (fuse_attention_gather,),
+    # The shipped IR step: mark_variance, then verify_program.
     "default": None,
+    # Variance marking alone, the least replay needs: verification must
+    # only read the program, never change what it schedules.
+    "no-passes": mark_variance,
 }
 
 
 @pytest.mark.parametrize("name", sorted(PASS_CONFIGS))
-def test_each_pass_is_bit_identical(name):
-    dynamic_losses, dynamic_weights, _ = _run(passes=None, replay=False)
-    losses, weights, _ = _run(passes=PASS_CONFIGS[name])
+def test_each_pass_is_bit_identical(name, monkeypatch):
+    from repro.autograd import capture
+
+    dynamic_losses, dynamic_weights, _ = _run(replay=False)
+    if PASS_CONFIGS[name] is not None:
+        monkeypatch.setattr(capture, "run_passes", PASS_CONFIGS[name])
+    losses, weights, _ = _run()
     assert losses == dynamic_losses
     for got, want in zip(weights, dynamic_weights):
-        assert np.array_equal(got, want)
-
-
-def test_default_passes_fuse_this_program():
-    _, _, replay = _run(passes=None, epochs=1)
-    assert replay.plan["ops_fused"] >= 2
-    kinds = {op.kind for op in replay.forward_ops}
-    assert "spmm_bias_act" in kinds
-    assert "ew_chain" in kinds
-    chain = next(op for op in replay.forward_ops if op.kind == "ew_chain")
-    assert chain.impl.rng                   # the dropout stage draws RNG
-    assert [kind for kind, _ in chain.meta["stages"]] == ["leaky_relu", "dropout"]
-
-
-@settings(max_examples=12, deadline=None)
-@given(st.lists(st.sampled_from(["spmm", "chains", "attention"]), max_size=4))
-def test_random_pass_orderings_never_change_replay_output(order):
-    pool = {"spmm": fuse_spmm_linear, "chains": fuse_elementwise_chains,
-            "attention": fuse_attention_gather}
-    passes = tuple(pool[name] for name in order)
-    baseline_losses, baseline_weights, _ = _run(passes=(), epochs=3)
-    losses, weights, _ = _run(passes=passes, epochs=3)
-    assert losses == baseline_losses
-    for got, want in zip(weights, baseline_weights):
         assert np.array_equal(got, want)
 
 
@@ -259,7 +219,7 @@ def test_fused_activation_gradcheck(activation):
 # Inference stripping (dead-slot elimination)
 # ----------------------------------------------------------------------
 def test_inference_replay_strips_training_state():
-    _, _, replay = _run(passes=None, epochs=2)
+    _, _, replay = _run(epochs=2)
     inference = build_inference_replay(replay)
     assert inference is not None
     # No backward schedule, no gradient accumulators, no optimizer mirrors.
@@ -269,10 +229,6 @@ def test_inference_replay_strips_training_state():
     # Stochastic regularisers are rewired out of the stripped program.
     kinds = {op.kind for op in inference.forward_ops}
     assert not kinds & {"dropout", "drop_node"}
-    for op in inference.forward_ops:
-        if op.kind == "ew_chain":
-            assert not {kind for kind, _ in op.meta["stages"]} & {
-                "dropout", "drop_node"}
     # The forward-only live set can never need more arena than training.
     assert inference.plan["arena_bytes"] <= replay.plan["arena_bytes"]
 
@@ -306,7 +262,7 @@ def test_inference_replay_matches_eval_forward():
 
 
 def test_inference_replay_bails_on_shape_change():
-    _, _, replay = _run(passes=None, epochs=1)
+    _, _, replay = _run(epochs=1)
     inference = build_inference_replay(replay)
     slot, tensor = inference.leaves[0]
     original = tensor.data
@@ -363,7 +319,7 @@ def test_sequential_replays_share_pool_storage():
     pool.reset_stats()
     base_outstanding = pool.stats()["outstanding_bytes"]
     for seed in range(3):
-        _run(passes=None, epochs=2, seed=seed)      # releases on return
+        _run(epochs=2, seed=seed)      # releases on return
     stats = pool.stats()
     assert stats["reuses"] > 0
     # Members 2 and 3 recycle member 1's storage: the peak of simultaneously

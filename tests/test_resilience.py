@@ -291,6 +291,47 @@ class TestSupervisedMap:
             if index != 2:
                 assert expected.tobytes() == value.tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_lost_pool_without_fallback_reports_every_unresolved_item(
+            self, workers):
+        """With the rebuild budget spent and no fallback, every unresolved
+        item keeps its slot and gets a report carrying only the attempts
+        charged to it, including items the break kept from admission."""
+        plan = FaultPlan([FaultRule(site="backend.task", kind="crash",
+                                    indices=(1,), backends=("process",))])
+        policy = ResiliencePolicy(max_retries=1, max_pool_rebuilds=0,
+                                  degrade=False, backoff_seconds=0.001,
+                                  on_failure="drop")
+        items = list(range(4))
+        reference = SerialBackend().map(_seeded_vector, items)
+        backend = ProcessBackend(max_workers=workers)
+        try:
+            with plan.installed():
+                report = backend.map(_seeded_vector, items, policy=policy)
+        finally:
+            backend.close()
+        assert len(report.results) == len(items)
+        assert report.skipped == 0
+        lost = {index for index, value in enumerate(report.results)
+                if value is None}
+        assert 1 in lost
+        assert sorted(failure.index for failure in report.failures) \
+            == sorted(lost)
+        for failure in report.failures:
+            assert failure.kind == "worker_crash"
+            # Only the crashing task, when alone in flight, is ever charged.
+            if failure.index == 1:
+                assert failure.attempts in (0, 1)
+            else:
+                assert failure.attempts == 0
+        if workers == 1:
+            assert report.results[0] is not None
+            (crashed,) = [f for f in report.failures if f.index == 1]
+            assert crashed.attempts == 1
+        for expected, value in zip(reference.results, report.results):
+            if value is not None:
+                assert expected.tobytes() == value.tobytes()
+
     def test_process_degrades_to_thread_when_rebuilds_exhausted(self):
         plan = FaultPlan([FaultRule(site="backend.task", kind="crash",
                                     backends=("process",))])
@@ -379,6 +420,17 @@ class TestAdaptiveSearchChaos:
         assert failed.kind == "worker_crash"
         assert failed.context["architecture"] in POOL
         assert set(result.chosen_layers) == set(POOL)  # depth 2 survived
+
+    def test_short_report_is_an_error_not_a_shorter_grid(
+            self, tiny_split_graph, tiny_data):
+        class ShortBackend(SerialBackend):
+            def map(self, fn, items, **kwargs):
+                report = super().map(fn, items, **kwargs)
+                report.results = report.results[:-1]
+                return report
+
+        with pytest.raises(RuntimeError, match="grid points"):
+            self._search(tiny_split_graph, tiny_data, ShortBackend())
 
 
 # ----------------------------------------------------------------------
