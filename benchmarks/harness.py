@@ -573,7 +573,7 @@ def serve_latency_microbenchmark(requests: int = 20, prefit=None) -> Dict[str, f
     clears the process-wide compute cache to simulate a fresh serving
     process, then measures the cold ``FittedEnsemble.load`` time, the first
     (cache-warming) request and the median steady-state per-request
-    ``predict_proba`` latency through the inference fast path.  The
+    ``predict_proba`` latency through ``forward_inference``.  The
     ``serve_speedup`` ratio (fit seconds per request-second) is recorded in
     the runtime baseline; predictions are asserted bit-identical to the
     fit-time probabilities.

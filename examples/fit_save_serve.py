@@ -10,8 +10,8 @@ This example walks the whole lifecycle:
 2. ``fitted.save(path)`` — persist a versioned artifact (JSON manifest +
    npz weight blobs),
 3. ``FittedEnsemble.load(path)`` — cold-start a "serving process",
-4. ``BatchScorer.score`` — per-request inference through the raw-ndarray
-   fast path, including a *refreshed* graph with new nodes and edges but the
+4. ``BatchScorer.score`` — per-request inference (each member's forward
+   under ``no_grad``), including a *refreshed* graph with new nodes and edges but the
    same feature schema.
 
 Run with::

@@ -7,7 +7,7 @@ configuration search, bagged re-training — in the minibatch regime: setting
 ``batch_size`` (plus optional ``fanouts``) on ``AutoHEnsGNNConfig`` switches
 every training stage to GraphSAGE-style neighbour-sampled steps whose memory
 footprint is bounded by the sampled sub-graph, while prediction and
-validation still run full-graph through the inference fast path.
+validation still run full-graph through ``forward_inference``.
 
 The configuration below is deliberately lean (two candidates, one replica,
 a handful of epochs) so the whole run finishes in well under two minutes on

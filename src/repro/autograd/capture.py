@@ -1064,7 +1064,7 @@ _register(OpImpl("abs", _fwd_abs, _bwd_abs, out_mode="buffer"))
 
 
 def _fwd_elu(op, rt):
-    # Mirror of _elu_forward with the np.where replaced by a masked copy
+    # Mirror of F.elu's forward with the np.where replaced by a masked copy
     # into a persistent buffer (same selected values, no fresh arrays).
     a = rt.values[op.ins[0]]
     alpha = op.meta["alpha"]

@@ -31,16 +31,11 @@ def relu(x: Tensor) -> Tensor:
     return _ensure(x).relu()
 
 
-def _elu_forward(data: np.ndarray, alpha: float, positive: np.ndarray) -> np.ndarray:
-    """Shared ELU forward (Tensor path and raw-ndarray inference path)."""
-    return np.where(positive, data, alpha * np.expm1(np.minimum(data, 0.0)))
-
-
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     x = _ensure(x)
     data = x.data
     positive = data > 0
-    out_data = _elu_forward(data, alpha, positive)
+    out_data = np.where(positive, data, alpha * np.expm1(np.minimum(data, 0.0)))
     out = Tensor(out_data, requires_grad=x.requires_grad, _prev=(x,) if x.requires_grad else ())
     if out.requires_grad:
         # Backward-only local derivative: alpha * exp(min(x, 0)) on the
@@ -57,17 +52,11 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     return out
 
 
-def _leaky_relu_forward(data: np.ndarray, negative_slope: float,
-                        positive: np.ndarray) -> np.ndarray:
-    """Shared LeakyReLU forward (Tensor path and raw-ndarray inference path)."""
-    return np.where(positive, data, negative_slope * data)
-
-
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     x = _ensure(x)
     data = x.data
     positive = data > 0
-    out_data = _leaky_relu_forward(data, negative_slope, positive)
+    out_data = np.where(positive, data, negative_slope * data)
     out = Tensor(out_data, requires_grad=x.requires_grad, _prev=(x,) if x.requires_grad else ())
     if out.requires_grad:
         def _backward(grad: np.ndarray) -> None:
@@ -107,31 +96,11 @@ def activation(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Raw-ndarray activations for the inference fast path
+# Softmax array helpers
 # ---------------------------------------------------------------------------
-# Each of these computes bit-for-bit the same forward value as its Tensor
-# counterpart above (same NumPy expressions, same order of operations), so
-# ``GNNModel.forward_inference`` matches the Tensor forward exactly.
-def _relu_array(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def _elu_array(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    return _elu_forward(x, alpha, x > 0)
-
-
-def _leaky_relu_array(x: np.ndarray, negative_slope: float = 0.2) -> np.ndarray:
-    return _leaky_relu_forward(x, negative_slope, x > 0)
-
-
-def _sigmoid_array(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _identity_array(x: np.ndarray) -> np.ndarray:
-    return x
-
-
+# The Tensor softmax ops below and their replay kernels in ``capture``
+# compute the forward through these; callers holding plain logits
+# (``GNNModel.predict_proba``, gradient search) call them directly.
 def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """NumPy softmax matching :func:`softmax` bit-for-bit."""
     shifted = x - x.max(axis=axis, keepdims=True)
@@ -145,29 +114,13 @@ def log_softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-ACTIVATIONS_ARRAY = {
-    "relu": _relu_array,
-    "elu": _elu_array,
-    "leaky_relu": _leaky_relu_array,
-    "sigmoid": _sigmoid_array,
-    "tanh": np.tanh,
-    "identity": _identity_array,
-    "none": _identity_array,
-}
-
-
-def activation_array(name: str):
-    """The raw-ndarray twin of :func:`activation` (inference fast path)."""
-    return ACTIVATIONS_ARRAY[name]
-
-
 # ---------------------------------------------------------------------------
 # Softmax family
 # ---------------------------------------------------------------------------
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = _ensure(x)
-    # Delegate to the array twin so the Tensor and inference fast paths can
-    # never drift apart bit-wise.
+    # Delegate to the array helper so the Tensor op and its replay kernel
+    # can never drift apart bit-wise.
     out_data = softmax_array(x.data, axis=axis)
     out = Tensor(out_data, requires_grad=x.requires_grad, _prev=(x,) if x.requires_grad else ())
     if out.requires_grad:
@@ -550,20 +503,6 @@ def scatter_max(src: Tensor, index: np.ndarray, dim_size: int) -> Tensor:
     return out
 
 
-def scatter_add_array(src: np.ndarray, index: np.ndarray, dim_size: int,
-                      aggregate=None) -> np.ndarray:
-    """Raw-ndarray forward of :func:`scatter_add` (inference fast path)."""
-    return _scatter_sum(src, index, dim_size, aggregate)
-
-
-def scatter_max_array(src: np.ndarray, index: np.ndarray, dim_size: int) -> np.ndarray:
-    """Raw-ndarray forward of :func:`scatter_max` (inference fast path)."""
-    out = np.full((dim_size,) + src.shape[1:], -np.inf, dtype=src.dtype)
-    np.maximum.at(out, index, src)
-    out[~np.isfinite(out)] = 0.0
-    return out
-
-
 def segment_softmax(scores: Tensor, index: np.ndarray, dim_size: int,
                     aggregate=None) -> Tensor:
     """Softmax over groups of entries sharing the same ``index`` value.
@@ -591,7 +530,7 @@ def segment_softmax(scores: Tensor, index: np.ndarray, dim_size: int,
 
 def segment_softmax_array(scores: np.ndarray, index: np.ndarray, dim_size: int,
                           aggregate=None) -> np.ndarray:
-    """Raw-ndarray forward of :func:`segment_softmax` (inference fast path)."""
+    """Array forward of :func:`segment_softmax`."""
     group_shape = (dim_size,) + scores.shape[1:]
     group_max = np.full(group_shape, -np.inf, dtype=scores.dtype)
     np.maximum.at(group_max, index, scores)

@@ -17,8 +17,8 @@ The ``n*f*h`` dense product appears in both, so the choice reduces to
 ``nnz*h`` vs ``nnz*f``: propagate first exactly when the input width is
 smaller than the output width (ties keep the seed's transform-first order).
 The decision depends only on shapes, so it is deterministic across the
-serial/thread/process backends and between the Tensor forward and the
-raw-ndarray inference fast path (both call :func:`spmm_bias_act_forward`).
+serial/thread/process backends and between the dynamic Tensor op and its
+captured replay (which mirrors :func:`spmm_bias_act_forward`).
 
 The bias is added *after* propagation (``A X W + b``), matching the standard
 GCNConv formulation; the seed applied it before propagation, which would
@@ -87,7 +87,7 @@ def spmm_bias_act_forward(
     activation: Optional[str],
     prop_first: bool,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Raw-ndarray forward shared by the Tensor op and the inference fast path.
+    """Array forward of :func:`spmm_bias_act` (no graph recording).
 
     Returns ``(out, propagated)`` where ``propagated`` is the intermediate
     ``A @ X`` (needed by the backward pass of the propagate-first order;
@@ -313,7 +313,7 @@ def gspmm_forward(block: RelationBlock, op: str, reduce: str,
                   lhs: Optional[np.ndarray], rhs: Optional[np.ndarray],
                   out: Optional[np.ndarray] = None,
                   state: Optional[Dict[str, np.ndarray]] = None) -> np.ndarray:
-    """Raw-ndarray forward of :func:`gspmm` (inference path / capture twin).
+    """Array forward of :func:`gspmm` (the Tensor op and its capture twin).
 
     ``out``, when given, receives the result in place.  ``state``, when
     given, is filled with the intermediates the backward pass reads (the
@@ -468,7 +468,7 @@ def gsddmm_forward(block: RelationBlock, op: str,
                    lhs_target: str = "u", rhs_target: str = "v",
                    out: Optional[np.ndarray] = None,
                    state: Optional[Dict[str, np.ndarray]] = None) -> np.ndarray:
-    """Raw-ndarray forward of :func:`gsddmm` (inference path / capture twin)."""
+    """Array forward of :func:`gsddmm` (the Tensor op and its capture twin)."""
     keep = state if state is not None else {}
     left = right = None
     if lhs is not None:

@@ -176,26 +176,6 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-    def infer(self, *args, **kwargs):
-        """Raw-ndarray inference: take/return plain arrays, no graph recording.
-
-        The base implementation wraps ndarray arguments into constant
-        tensors, runs :meth:`forward` under ``no_grad`` and unwraps the
-        result, so every module supports ``infer`` with identical values.
-        Hot modules (``Linear``, the message-passing convolutions) override
-        it with pure-NumPy bodies that skip Tensor construction entirely —
-        overrides must compute bit-for-bit the same result as ``forward``.
-        """
-        from repro.autograd.tensor import no_grad
-
-        with no_grad():
-            wrapped = tuple(
-                Tensor(argument) if isinstance(argument, np.ndarray) else argument
-                for argument in args
-            )
-            out = self.forward(*wrapped, **kwargs)
-        return out.data if isinstance(out, Tensor) else out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         children = ", ".join(self._modules)
         return f"{type(self).__name__}({children})"

@@ -34,12 +34,6 @@ class Linear(Module):
             out = out + self.bias
         return out
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight.data
-        if self.bias is not None:
-            out += self.bias.data
-        return out
-
 
 class Dropout(Module):
     """Inverted dropout; a no-op when the module is in eval mode."""
@@ -53,13 +47,6 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, training=self.training, rng=self.rng)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        if self.training and self.p > 0.0:
-            # Inference callers run in eval mode; keep exact RNG parity with
-            # the Tensor path if someone does call this while training.
-            return F.dropout(Tensor(x), self.p, training=True, rng=self.rng).data
-        return x
 
 
 class ReLU(Module):
@@ -140,7 +127,6 @@ class MLP(Module):
         if num_layers < 1:
             raise ValueError("MLP needs at least one layer")
         self.activation = F.activation(activation)
-        self.activation_array = F.activation_array(activation)
         self.dropout = Dropout(dropout, rng=rng)
         from repro.autograd.module import ModuleList
 
@@ -159,12 +145,4 @@ class MLP(Module):
             if i < len(self.layers) - 1:
                 x = self.activation(x)
                 x = self.dropout(x)
-        return x
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        for i, layer in enumerate(self.layers):
-            x = layer.infer(x)
-            if i < len(self.layers) - 1:
-                x = self.activation_array(x)
-                x = self.dropout.infer(x)
         return x

@@ -144,7 +144,7 @@ class AutoGraphRunner:
                 dataset_name: Optional[str] = None) -> CompetitionSubmission:
         """Score ``graph`` with a previously fitted ensemble — no AutoML re-run.
 
-        The artifact's members answer through the inference fast path, so a
+        The artifact's members answer through ``forward_inference``, so a
         refreshed or extended graph (same feature schema) is re-scored in
         the time of one forward pass per member instead of a full pipeline
         run.  The returned submission carries no ``result`` (there was no

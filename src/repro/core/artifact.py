@@ -4,8 +4,8 @@ The paper's pipeline ends at a single transductive prediction; the repo's
 north star — serving heavy traffic — needs the opposite lifecycle.
 :class:`FittedEnsemble` is what ``AutoHEnsGNN.fit`` returns: the searched
 pool, the β weights and every bagged member's trained parameters, detached
-from the search machinery.  It predicts through the raw-ndarray
-``forward_inference`` fast path (no autograd anywhere), accepts the original
+from the search machinery.  It predicts through ``forward_inference``
+(each member's forward under ``no_grad``), accepts the original
 graph or a re-built one with the same feature schema, and round-trips through
 a versioned on-disk artifact::
 
@@ -103,6 +103,16 @@ class FittedEnsemble:
     #: a loaded artifact carries only what inference needs.
     fit_report: Optional[object] = None
 
+    def __post_init__(self) -> None:
+        # Members only predict from here on.  In eval mode
+        # ``forward_inference`` leaves their mode alone, so shards scoring
+        # one member on several threads cannot turn dropout back on under
+        # one another.
+        for ensemble in self.ensembles:
+            for gse in ensemble.ensembles:
+                for member in gse.members:
+                    member.eval()
+
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
@@ -133,10 +143,10 @@ class FittedEnsemble:
     def predict_proba(self, graph: GraphLike) -> np.ndarray:
         """Class probabilities for every node, shape ``(num_nodes, num_classes)``.
 
-        Runs entirely through the raw-ndarray ``forward_inference`` fast
-        path (no autograd, no Tensor wrapping) under the artifact's compute
-        dtype.  ``graph`` may be the training graph, a refreshed/extended
-        graph with the same feature schema, or a pre-built
+        Runs each member's forward under ``no_grad`` (``forward_inference``,
+        no backward graph) under the artifact's compute dtype.  ``graph``
+        may be the training graph, a refreshed/extended graph with the same
+        feature schema, or a pre-built
         :class:`GraphTensors` view in the matching dtype.
         """
         if not self.ensembles:

@@ -128,8 +128,8 @@ class AutoHEnsGNNConfig:
         (a stage passes ``0`` to stay full-batch explicitly).  Peak training
         memory then scales with ``batch_size * prod(fanouts)`` instead of
         the graph size, opening graphs that cannot afford a full-batch
-        pass.  Prediction/evaluation always runs full-graph through the
-        inference fast path.
+        pass.  Prediction/evaluation always runs full-graph through
+        ``forward_inference``.
     fanouts : tuple of int, optional
         Per-hop sampled-neighbour caps for minibatch mode, outermost hop
         first; ``None`` derives ``(10, 5, 5)`` sized to each model's

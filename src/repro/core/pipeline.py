@@ -17,8 +17,8 @@ budget like the challenge imposes.
 The estimator lifecycle separates the expensive part from the cheap part:
 :meth:`AutoHEnsGNN.fit` pays the AutoML cost once and returns a
 :class:`~repro.core.artifact.FittedEnsemble` that owns every trained member
-and answers ``predict_proba``/``predict`` requests through the raw-ndarray
-inference fast path, can be ``save``d to a versioned artifact and ``load``ed
+and answers ``predict_proba``/``predict`` requests through
+``forward_inference``, can be ``save``d to a versioned artifact and ``load``ed
 in a fresh serving process (see :mod:`repro.serve`).  The historical
 one-shot :meth:`AutoHEnsGNN.fit_predict` remains as a thin wrapper over
 ``fit`` and is bit-identical to its pre-estimator behaviour at fixed seeds.

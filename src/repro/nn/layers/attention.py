@@ -75,33 +75,6 @@ class GATConv(Module):
             out = aggregated.mean(axis=1)
         return out + self.bias
 
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        src, dst = data.edge_index
-        num_nodes = data.num_nodes
-        dst_scatter = data.edge_scatter("dst")
-
-        transformed = self.linear.infer(x).reshape(num_nodes, self.heads, self.head_dim)
-        score_src = (transformed * self.att_src.data).sum(axis=-1)
-        score_dst = (transformed * self.att_dst.data).sum(axis=-1)
-
-        edge_scores = score_src[src] + score_dst[dst]
-        edge_scores = F._leaky_relu_array(edge_scores, self.negative_slope)
-        attention = F.segment_softmax_array(edge_scores, dst, num_nodes,
-                                            aggregate=dst_scatter)
-        if self.attention_dropout > 0 and self.training:
-            attention = F.dropout(Tensor(attention), self.attention_dropout,
-                                  training=True, rng=self._rng).data
-
-        weighted = transformed[src] * attention.reshape(attention.shape[0], self.heads, 1)
-        aggregated = F.scatter_add_array(weighted, dst, num_nodes, aggregate=dst_scatter)
-
-        if self.concat_heads:
-            out = aggregated.reshape(num_nodes, self.heads * self.head_dim)
-        else:
-            # Match Tensor.mean (sum * 1/count) bit-for-bit.
-            out = aggregated.sum(axis=1) * (1.0 / self.heads)
-        return out + self.bias.data
-
 
 class AGNNConv(Module):
     """Attention over cosine similarity with a learnable temperature ``beta``."""
@@ -122,15 +95,3 @@ class AGNNConv(Module):
         attention = F.segment_softmax(scores, dst, data.num_nodes, aggregate=dst_scatter)
         messages = F.index_select(x, src, scatter=src_scatter) * attention.reshape(-1, 1)
         return F.scatter_add(messages, dst, data.num_nodes, aggregate=dst_scatter)
-
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        src, dst = data.edge_index
-        dst_scatter = data.edge_scatter("dst")
-        norms = ((x * x).sum(axis=-1, keepdims=True) + 1e-12) ** 0.5
-        normalised = x * (norms ** -1.0)
-        cos = (normalised[src] * normalised[dst]).sum(axis=-1)
-        scores = cos * self.beta.data
-        attention = F.segment_softmax_array(scores, dst, data.num_nodes,
-                                            aggregate=dst_scatter)
-        messages = x[src] * attention.reshape(-1, 1)
-        return F.scatter_add_array(messages, dst, data.num_nodes, aggregate=dst_scatter)

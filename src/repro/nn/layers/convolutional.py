@@ -52,19 +52,6 @@ class GCNConv(Module):
                                      self.linear.weight, self.linear.bias,
                                      activation)
 
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        return self.infer_fused(x, data, activation=None)
-
-    def infer_fused(self, x: np.ndarray, data: GraphTensors,
-                    activation: Optional[str]) -> np.ndarray:
-        operator = data.propagation(self.propagation)
-        weight = self.linear.weight.data
-        bias = None if self.linear.bias is None else self.linear.bias.data
-        prop_first = kernels.propagate_first(operator, x.shape[-1], weight.shape[-1])
-        out, _ = kernels.spmm_bias_act_forward(operator.matrix, x, weight, bias,
-                                               activation, prop_first)
-        return out
-
 
 class SGConv(Module):
     """Simplified GCN: ``H' = Â^K X W`` (all nonlinearities removed)."""
@@ -82,12 +69,6 @@ class SGConv(Module):
         for _ in range(self.hops):
             hidden = spmm(operator, hidden)
         return self.linear(hidden)
-
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        matrix = data.propagation(self.propagation).matrix
-        for _ in range(self.hops):
-            x = matrix @ x
-        return self.linear.infer(x)
 
 
 class TAGConv(Module):
@@ -109,15 +90,6 @@ class TAGConv(Module):
         for k in range(1, self.hops + 1):
             hidden = spmm(operator, hidden)
             out = out + self.linears[k](hidden)
-        return out
-
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        matrix = data.propagation(self.propagation).matrix
-        hidden = x
-        out = self.linears[0].infer(hidden)
-        for k in range(1, self.hops + 1):
-            hidden = matrix @ hidden
-            out += self.linears[k].infer(hidden)
         return out
 
 
@@ -151,20 +123,6 @@ class ChebConv(Module):
             t_prev_prev, t_prev = t_prev, t_curr
         return out
 
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        matrix = data.propagation("sym").matrix
-        t_prev_prev = x
-        out = self.linears[0].infer(t_prev_prev)
-        if self.order == 1:
-            return out
-        t_prev = (matrix @ x) * -1.0
-        out += self.linears[1].infer(t_prev)
-        for k in range(2, self.order):
-            t_curr = (matrix @ t_prev) * -2.0 - t_prev_prev
-            out += self.linears[k].infer(t_curr)
-            t_prev_prev, t_prev = t_prev, t_curr
-        return out
-
 
 class ARMAConv(Module):
     """One ARMA_1 stack: ``H^{t+1} = act(Â H^t W + X V)`` iterated ``num_iterations`` times."""
@@ -184,12 +142,4 @@ class ARMAConv(Module):
         skip = self.skip_linear(x)
         for _ in range(self.num_iterations):
             hidden = F.relu(self.recurrent_linear(spmm(operator, hidden)) + skip)
-        return hidden
-
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        matrix = data.propagation(self.propagation).matrix
-        hidden = F._relu_array(self.input_linear.infer(x))
-        skip = self.skip_linear.infer(x)
-        for _ in range(self.num_iterations):
-            hidden = F._relu_array(self.recurrent_linear.infer(matrix @ hidden) + skip)
         return hidden

@@ -43,11 +43,6 @@ class GCNIIConv(Module):
         support = propagated * (1.0 - self.alpha) + initial * self.alpha
         return support * (1.0 - self.beta) + self.linear(support) * self.beta
 
-    def infer(self, x: np.ndarray, initial: np.ndarray, data: GraphTensors) -> np.ndarray:
-        propagated = data.adj_sym.matrix @ x
-        support = propagated * (1.0 - self.alpha) + initial * self.alpha
-        return support * (1.0 - self.beta) + self.linear.infer(support) * self.beta
-
 
 class APPNPPropagation(Module):
     """Personalised-PageRank propagation: ``Z^{t+1} = (1-a) Â Z^t + a Z^0``."""
@@ -71,20 +66,6 @@ class APPNPPropagation(Module):
         hidden = x
         for _ in range(self.num_iterations):
             hidden = spmm(data.adj_sym, hidden) * (1.0 - self.teleport) + initial * self.teleport
-            states.append(hidden)
-        return states
-
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        return self.propagate_steps_array(x, data)[-1]
-
-    def propagate_steps_array(self, x: np.ndarray, data: GraphTensors) -> List[np.ndarray]:
-        """Raw-ndarray twin of :meth:`propagate_steps` (inference fast path)."""
-        matrix = data.adj_sym.matrix
-        states = []
-        initial = x
-        hidden = x
-        for _ in range(self.num_iterations):
-            hidden = (matrix @ hidden) * (1.0 - self.teleport) + initial * self.teleport
             states.append(hidden)
         return states
 
@@ -154,14 +135,3 @@ class MixHopConv(Module):
         for linear, power in zip(self.linears, self.powers):
             outputs.append(linear(powered[power]))
         return F.concat(outputs, axis=-1)
-
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        matrix = data.adj_sym.matrix
-        current = x
-        powered = {0: x}
-        for power in range(1, max(self.powers) + 1):
-            current = matrix @ current
-            powered[power] = current
-        outputs = [linear.infer(powered[power])
-                   for linear, power in zip(self.linears, self.powers)]
-        return np.concatenate(outputs, axis=-1)

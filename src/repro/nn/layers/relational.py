@@ -104,13 +104,6 @@ class RGCNConv(Module):
                                      np.array([relation_id], dtype=np.int64))
         return (coefficient @ self.bases).reshape(self.in_features, self.out_features)
 
-    def relation_weight_array(self, relation_id: int) -> np.ndarray:
-        """Raw-ndarray twin of :meth:`relation_weight` (inference path)."""
-        if self.num_bases is None:
-            return self.linears[relation_id].weight.data
-        return (self.coefficients.data[relation_id] @ self.bases.data) \
-            .reshape(self.in_features, self.out_features)
-
     def forward(self, x: Tensor, data: GraphTensors) -> Tensor:
         """Relation-wise graph convolution (no activation)."""
         return self.forward_fused(x, data, activation=None)
@@ -138,36 +131,6 @@ class RGCNConv(Module):
             out = out + self.bias
         if activation not in (None, "identity", "none"):
             out = F.activation(activation)(out)
-        return out
-
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        """Raw-ndarray twin of :meth:`forward` (inference path)."""
-        return self.infer_fused(x, data, activation=None)
-
-    def infer_fused(self, x: np.ndarray, data: GraphTensors,
-                    activation: Optional[str]) -> np.ndarray:
-        """Raw-ndarray twin of :meth:`forward_fused`."""
-        num_relations = _check_capacity(self, data)
-        bias = None if self.bias is None else self.bias.data
-        if num_relations == 1:
-            operator = data.relation_operator(0, self.propagation)
-            weight = self.relation_weight_array(0)
-            prop_first = kernels.propagate_first(operator, x.shape[-1], weight.shape[-1])
-            out, _ = kernels.spmm_bias_act_forward(operator.matrix, x, weight, bias,
-                                                   activation, prop_first)
-            return out
-        out = None
-        for relation_id in range(num_relations):
-            operator = data.relation_operator(relation_id, self.propagation)
-            weight = self.relation_weight_array(relation_id)
-            prop_first = kernels.propagate_first(operator, x.shape[-1], weight.shape[-1])
-            term, _ = kernels.spmm_bias_act_forward(operator.matrix, x, weight, None,
-                                                    None, prop_first)
-            out = term if out is None else out + term
-        if bias is not None:
-            out = out + bias
-        if activation not in (None, "identity", "none"):
-            out = F.activation_array(activation)(out)
         return out
 
 
@@ -255,34 +218,3 @@ class RGATConv(Module):
                 relation_out = aggregated.mean(axis=1)
             out = relation_out if out is None else out + relation_out
         return out + self.bias
-
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        """Raw-ndarray twin of :meth:`forward` (inference path)."""
-        num_relations = _check_capacity(self, data)
-        num_nodes = data.num_nodes
-        out = None
-        for relation_id in range(num_relations):
-            block = data.relation_block(relation_id)
-            relation = self.relation_attention[relation_id]
-            transformed = relation.linear.infer(x).reshape(num_nodes, self.heads,
-                                                           self.head_dim)
-            score_src = (transformed * relation.att_src.data).sum(axis=-1)
-            score_dst = (transformed * relation.att_dst.data).sum(axis=-1)
-
-            edge_scores = kernels.gsddmm_forward(block, "add", score_src, score_dst)
-            edge_scores = F._leaky_relu_array(edge_scores, self.negative_slope)
-            attention = F.segment_softmax_array(edge_scores, block.v, num_nodes,
-                                                aggregate=block.scatter("v", x.dtype))
-            if self.attention_dropout > 0 and self.training:
-                attention = F.dropout(Tensor(attention), self.attention_dropout,
-                                      training=True, rng=self._rng).data
-
-            aggregated = kernels.gspmm_forward(block, "mul", "sum", transformed,
-                                               attention)
-            if self.concat_heads:
-                relation_out = aggregated.reshape(num_nodes, self.heads * self.head_dim)
-            else:
-                # Match Tensor.mean (sum * 1/count) bit-for-bit.
-                relation_out = aggregated.sum(axis=1) * (1.0 / self.heads)
-            out = relation_out if out is None else out + relation_out
-        return out + self.bias.data

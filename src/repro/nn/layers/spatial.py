@@ -51,15 +51,6 @@ class SAGEConv(Module):
             aggregated = F.scatter_max(messages, dst, data.num_nodes)
         return self.self_linear(x) + self.neighbor_linear(aggregated)
 
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        if self.aggregator == "mean":
-            aggregated = data.adj_rw.matrix @ x
-        else:
-            src, dst = data.edge_index
-            transformed = F._relu_array(self.pool_linear.infer(x))
-            aggregated = F.scatter_max_array(transformed[src], dst, data.num_nodes)
-        return self.self_linear.infer(x) + self.neighbor_linear.infer(aggregated)
-
 
 class GINConv(Module):
     """GIN aggregation ``MLP((1 + eps) x + sum_{j in N(i)} x_j``."""
@@ -79,14 +70,6 @@ class GINConv(Module):
             combined = x + aggregated
         return self.mlp(combined)
 
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        aggregated = data.adj_raw.matrix @ x
-        if self.eps is not None:
-            combined = x * (self.eps.data + 1.0) + aggregated
-        else:
-            combined = x + aggregated
-        return self.mlp.infer(combined)
-
 
 class GraphConv(Module):
     """Weisfeiler-Leman convolution ``x W_1 + A x W_2`` (edge-weight aware)."""
@@ -99,9 +82,6 @@ class GraphConv(Module):
 
     def forward(self, x: Tensor, data: GraphTensors) -> Tensor:
         return self.self_linear(x) + self.neighbor_linear(spmm(data.adj_raw, x))
-
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        return self.self_linear.infer(x) + self.neighbor_linear.infer(data.adj_raw.matrix @ x)
 
 
 class GatedGraphConv(Module):
@@ -125,18 +105,5 @@ class GatedGraphConv(Module):
             update = F.sigmoid(self.update_gate(joint))
             reset = F.sigmoid(self.reset_gate(joint))
             candidate = F.tanh(self.candidate(F.concat([hidden * reset, message], axis=-1)))
-            hidden = hidden * (1.0 - update) + candidate * update
-        return hidden
-
-    def infer(self, x: np.ndarray, data: GraphTensors) -> np.ndarray:
-        matrix = data.adj_rw.matrix
-        hidden = self.input_linear.infer(x)
-        for _ in range(self.num_steps):
-            message = matrix @ self.message_linear.infer(hidden)
-            joint = np.concatenate([hidden, message], axis=-1)
-            update = F._sigmoid_array(self.update_gate.infer(joint))
-            reset = F._sigmoid_array(self.reset_gate.infer(joint))
-            candidate = np.tanh(
-                self.candidate.infer(np.concatenate([hidden * reset, message], axis=-1)))
             hidden = hidden * (1.0 - update) + candidate * update
         return hidden

@@ -50,7 +50,6 @@ class GNNModel(Module):
         self.model_name = name or type(self).__name__
         self.rng = np.random.default_rng(seed)
         self.activation = F.activation(activation)
-        self.activation_array = F.activation_array(activation)
         self.dropout = Dropout(dropout, rng=self.rng)
         self.head = Linear(hidden, num_classes, rng=self.rng)
         # How many hops of the graph one forward pass actually touches.
@@ -101,18 +100,15 @@ class GNNModel(Module):
         """Class probabilities as a plain array (no gradient tracking)."""
         return F.softmax_array(self.forward_inference(data, layer_weights), axis=-1)
 
-    # ------------------------------------------------------------------
-    # Raw-ndarray inference fast path
-    # ------------------------------------------------------------------
     def forward_inference(self, data: GraphTensors,
                           layer_weights: LayerWeights = None) -> np.ndarray:
-        """Class logits as a plain ndarray, bypassing Tensor wrapping.
+        """Class logits as a plain ndarray: :meth:`forward` in eval mode
+        (dropout off) under ``no_grad``, so no backward graph is recorded.
 
-        Runs in eval mode (dropout off, like :meth:`predict_proba`) and
-        produces bit-for-bit the logits of the Tensor :meth:`forward` under
-        ``no_grad`` — evaluation, proxy scoring and ensemble weight search
-        call this in their inner loops, where graph construction overhead
-        multiplied across thousands of epochs.
+        Evaluation, proxy scoring, ensemble weight search and serving call
+        this; the model's previous training mode is restored afterwards.
+        That switch mutates the model, so threads may share a model here
+        only while it is in eval mode (``FittedEnsemble`` members are).
         """
         from repro.autograd.tensor import no_grad
 
@@ -121,47 +117,10 @@ class GNNModel(Module):
             self.eval()
         try:
             with no_grad():
-                states = self.encode_inference(data)
-                combined = self.combine_states_inference(states, layer_weights)
-                return self.head.infer(combined)
+                return self.forward(data, layer_weights).data
         finally:
             if was_training:
                 self.train()
-
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        """Raw-ndarray twin of :meth:`encode`.
-
-        The base implementation runs the Tensor encoder under ``no_grad``
-        and unwraps, so every subclass is automatically correct; hot models
-        override it with pure-NumPy bodies.
-        """
-        from repro.autograd.tensor import no_grad
-
-        with no_grad():
-            return [state.data for state in self.encode(data)]
-
-    def combine_states_inference(self, states: List[np.ndarray],
-                                 layer_weights: LayerWeights) -> np.ndarray:
-        if layer_weights is None:
-            # Mirror a subclass's custom default_combine exactly by running
-            # it on constant tensors (cheap: states are already computed).
-            if type(self).default_combine is GNNModel.default_combine:
-                return states[-1]
-            from repro.autograd.tensor import no_grad
-
-            with no_grad():
-                return self.default_combine([Tensor(state) for state in states]).data
-        if isinstance(layer_weights, Tensor):
-            weights = F.softmax_array(layer_weights.data, axis=-1)
-        else:
-            weights = np.asarray(layer_weights, dtype=states[0].dtype)
-            if weights.shape[0] != len(states):
-                raise ValueError(
-                    f"expected {len(states)} layer weights, received {weights.shape[0]}"
-                )
-        stacked = np.stack(states, axis=0)
-        shaped = weights.reshape((len(states),) + (1,) * (stacked.ndim - 1))
-        return (stacked * shaped).sum(axis=0)
 
     # ------------------------------------------------------------------
     # Introspection used by the proxy evaluator / model zoo
@@ -202,7 +161,7 @@ class StackedConvModel(GNNModel):
             conv_in = first_in if layer_index == 0 else hidden
             self.convs.append(conv_factory(conv_in, hidden, self.rng))
         # Fusion decision, resolved once: convs exposing the ``forward_fused``
-        # / ``infer_fused`` hooks (currently ``GCNConv``) absorb an in-place-
+        # hook (``GCNConv``, ``RGCNConv``) absorb an in-place-
         # applicable activation into the kernel.  The fused result is
         # bit-identical to the unfused conv + activation sequence
         # (``np.maximum`` on the same pre-activation either way); it just
@@ -237,20 +196,5 @@ class StackedConvModel(GNNModel):
             else:
                 x = conv(x, data)
                 x = self.activation(x)
-            states.append(x)
-        return states
-
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        # Eval-mode twin of :meth:`encode`: dropout is a no-op and each
-        # convolution runs through its raw-ndarray ``infer`` path.
-        x = data.features.data
-        if self.input_projection is not None:
-            x = self.activation_array(self.input_projection.infer(x))
-        states: List[np.ndarray] = []
-        for conv, fused in zip(self.convs, self._fused_activations):
-            if fused is not None:
-                x = conv.infer_fused(x, data, fused)
-            else:
-                x = self.activation_array(conv.infer(x, data))
             states.append(x)
         return states

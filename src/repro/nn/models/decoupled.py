@@ -43,15 +43,6 @@ class SGC(GNNModel):
             states.append(hidden)
         return states
 
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        states = []
-        hidden = self.linear.infer(data.features.data)
-        matrix = data.adj_sym.matrix
-        for _ in range(self.num_layers):
-            hidden = matrix @ hidden
-            states.append(hidden)
-        return states
-
 
 class SIGN(GNNModel):
     """SIGN (Frasca et al., 2020): precomputed powers, per-power linear maps."""
@@ -76,16 +67,6 @@ class SIGN(GNNModel):
             states.append(accumulated * (1.0 / power))
         return states
 
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        states = []
-        accumulated = None
-        for power, branch in enumerate(self.branches, start=1):
-            powered = data.powered_features("sym", power).data
-            transformed = self.activation_array(branch.infer(powered))
-            accumulated = transformed if accumulated is None else accumulated + transformed
-            states.append(accumulated * (1.0 / power))
-        return states
-
 
 class APPNP(GNNModel):
     """Predict-then-propagate with personalised PageRank (Klicpera et al., 2019)."""
@@ -106,11 +87,6 @@ class APPNP(GNNModel):
     def encode(self, data: GraphTensors) -> List[Tensor]:
         hidden = self.mlp(self.dropout(data.features))
         steps = self.propagation.propagate_steps(hidden, data)
-        return [steps[m - 1] for m in self._milestones]
-
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        hidden = self.mlp.infer(data.features.data)
-        steps = self.propagation.propagate_steps_array(hidden, data)
         return [steps[m - 1] for m in self._milestones]
 
 
@@ -143,21 +119,6 @@ class DAGNN(GNNModel):
             states.append((stacked * gates).sum(axis=1))
         return states
 
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        hidden = self.mlp.infer(data.features.data)
-        matrix = data.adj_sym.matrix
-        propagated = [hidden]
-        current = hidden
-        for _ in range(self.hops):
-            current = matrix @ current
-            propagated.append(current)
-        states = []
-        for milestone in self._milestones:
-            stacked = np.stack(propagated[: milestone + 1], axis=1)
-            gates = F._sigmoid_array(self.gate.infer(stacked))
-            states.append((stacked * gates).sum(axis=1))
-        return states
-
 
 class MixHop(GNNModel):
     """MixHop (Abu-El-Haija et al., 2019): mixed powers of the adjacency per layer."""
@@ -181,13 +142,5 @@ class MixHop(GNNModel):
         for conv in self.convs:
             x = self.dropout(x)
             x = self.activation(conv(x, data))
-            states.append(x)
-        return states
-
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        states = []
-        x = data.features.data
-        for conv in self.convs:
-            x = self.activation_array(conv.infer(x, data))
             states.append(x)
         return states

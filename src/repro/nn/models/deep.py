@@ -47,15 +47,6 @@ class GCNII(GNNModel):
             states.append(hidden)
         return states
 
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        initial = self.activation_array(self.input_linear.infer(data.features.data))
-        states: List[np.ndarray] = []
-        hidden = initial
-        for conv in self.convs:
-            hidden = self.activation_array(conv.infer(hidden, initial, data))
-            states.append(hidden)
-        return states
-
 
 class JKNet(GNNModel):
     """Jumping Knowledge network (Xu et al., 2018) over a GCN backbone."""
@@ -80,14 +71,6 @@ class JKNet(GNNModel):
         for conv in self.convs:
             x = self.dropout(x)
             x = self.activation(conv(x, data))
-            states.append(x)
-        return states
-
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        states: List[np.ndarray] = []
-        x = data.features.data
-        for conv in self.convs:
-            x = self.activation_array(conv.infer(x, data))
             states.append(x)
         return states
 
@@ -129,28 +112,6 @@ class DNA(GNNModel):
             attended = (values * attention.reshape(data.num_nodes, len(history), 1)).sum(axis=1)
             new_state = self.activation(attended)
             new_state = self.dropout(new_state)
-            history.append(new_state)
-            states.append(new_state)
-        return states
-
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        hidden = self.activation_array(self.input_linear.infer(data.features.data))
-        history: List[np.ndarray] = [hidden]
-        states: List[np.ndarray] = []
-        # The Tensor path wraps the scale into a constant tensor, casting it
-        # to the compute dtype; mirror that cast so float32 stays float32.
-        scale = hidden.dtype.type(1.0 / np.sqrt(self.hidden))
-        matrix = data.adj_sym.matrix
-        for layer_index in range(self.num_layers):
-            propagated = matrix @ history[-1]
-            query = self.query[layer_index].infer(propagated)
-            stacked_history = np.stack(history, axis=1)
-            keys = self.key[layer_index].infer(stacked_history)
-            values = self.value[layer_index].infer(stacked_history)
-            scores = (keys * query.reshape(data.num_nodes, 1, self.hidden)).sum(axis=-1) * scale
-            attention = F.softmax_array(scores, axis=-1)
-            attended = (values * attention.reshape(data.num_nodes, len(history), 1)).sum(axis=1)
-            new_state = self.activation_array(attended)
             history.append(new_state)
             states.append(new_state)
         return states

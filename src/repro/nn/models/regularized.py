@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.autograd import functional as F
 from repro.autograd.modules import Linear, MLP
 from repro.autograd.sparse import spmm
@@ -55,22 +53,6 @@ class GRAND(GNNModel):
             states.append(self.mlp(self.dropout(propagated)))
         return states
 
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        # Eval mode: DropNode and dropout are off, so random propagation
-        # degenerates to the deterministic mean over depths.
-        matrix = data.adj_sym.matrix
-        features = data.features.data
-        states = []
-        for depth in range(1, self.num_layers + 1):
-            accumulated = features
-            current = features
-            for _ in range(depth):
-                current = matrix @ current
-                accumulated = accumulated + current
-            propagated = accumulated * (1.0 / (depth + 1))
-            states.append(self.mlp.infer(propagated))
-        return states
-
 
 class GraphMix(GNNModel):
     """GraphMix-style joint GCN + MLP model (the MLP acts as a regulariser)."""
@@ -100,16 +82,6 @@ class GraphMix(GNNModel):
             states.append(x * (1.0 - self.mix_weight) + mlp_state * self.mix_weight)
         return states
 
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        features = data.features.data
-        mlp_state = self.mlp.infer(features)
-        states = []
-        x = features
-        for conv in self.convs:
-            x = self.activation_array(conv.infer(x, data))
-            states.append(x * (1.0 - self.mix_weight) + mlp_state * self.mix_weight)
-        return states
-
 
 class MLPNode(GNNModel):
     """Graph-agnostic MLP baseline (the "MLP" row of Table V)."""
@@ -131,13 +103,5 @@ class MLPNode(GNNModel):
         for layer in self.layers:
             x = self.dropout(x)
             x = self.activation(layer(x))
-            states.append(x)
-        return states
-
-    def encode_inference(self, data: GraphTensors) -> List[np.ndarray]:
-        states = []
-        x = data.features.data
-        for layer in self.layers:
-            x = self.activation_array(layer.infer(x))
             states.append(x)
         return states

@@ -4,7 +4,7 @@
 :mod:`repro.nn.layers.relational` through the shared
 :class:`~repro.nn.models.base.StackedConvModel` plumbing, so they satisfy
 every pipeline contract for free — ``receptive_field``, per-layer states for
-GSE, raw-ndarray ``forward_inference`` and state_dict round-trips.
+GSE, ``forward_inference`` and state_dict round-trips.
 
 ``num_relations`` is a relation *capacity* baked into the parameter shapes
 (see :mod:`repro.nn.layers.relational`), so the zoo registers these models

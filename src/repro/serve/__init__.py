@@ -3,8 +3,9 @@
 The serving half of the "fit once, serve many" lifecycle: load a
 :class:`~repro.core.artifact.FittedEnsemble` artifact once (cold start pays
 model reconstruction and weight loading), then answer any number of scoring
-requests through the raw-ndarray inference fast path — no autograd, no
-search, no training anywhere on the request path.
+requests through each member's ``forward_inference`` (its forward under
+``no_grad``) — no backward graph, no search, no training anywhere on the
+request path.
 
 Three entry points:
 

@@ -2,7 +2,7 @@
 
 Loads a saved :class:`~repro.core.artifact.FittedEnsemble` artifact, loads a
 request dataset (a registry name like ``kddcup-A`` or an AutoGraph challenge
-directory), scores every node through the inference fast path and optionally
+directory), scores every node through ``forward_inference`` and optionally
 writes challenge-format predictions and the full probability matrix.
 
 Examples::

@@ -26,7 +26,7 @@ products, keep their exact bytes.
   ever be served to a concurrent batch consumer;
 * a :class:`Microbatcher` coalesces concurrent ``score`` calls: the full
   probability matrix is computed once per graph version through the
-  raw-ndarray ``forward_inference`` fast path, and every concurrent request
+  members' ``forward_inference``, and every concurrent request
   against that version slices the shared matrix.
 
 The consistency model is strict serialisability under one lock: mutations
@@ -304,6 +304,8 @@ class StreamingScorer:
         self.graph.flush()
         self._rebuild_structure_state()
         self._rebuild_feature_state()
+        #: The graph version the serving masters reflect.
+        self._synced_version = self.graph.version
         self.load_seconds = time.perf_counter() - start
         self.requests_served = 0
 
@@ -343,9 +345,15 @@ class StreamingScorer:
         """
         with self._lock:
             delta = self.graph.flush()
+            if self.graph.version != self._synced_version + (delta is not None):
+                # A flush outside this scorer (``graph.snapshot()`` or
+                # ``graph.checkpoint()``) consumed deltas it never saw.
+                self._resync()
+                return True
             if delta is None:
                 return False
             self._apply_delta(delta)
+            self._synced_version = self.graph.version
             return True
 
     def score(self, nodes: Optional[np.ndarray] = None) -> ServeResult:
@@ -472,6 +480,17 @@ class StreamingScorer:
             self._stats["feature_refreshes"] += 1
             self._update_feature_state(delta)
         self._update_powered_masters(delta)
+
+    def _resync(self) -> None:
+        """Rebuild every serving master from the graph's flushed state."""
+        self._invalidate_cache_entries()
+        self._rebuild_structure_state()
+        self._rebuild_feature_state()
+        self._powered = {}
+        self._synced_version = self.graph.version
+        for counter in ("mutations_flushed", "structure_refreshes",
+                        "feature_refreshes"):
+            self._stats[counter] += 1
 
     def _invalidate_cache_entries(self) -> None:
         """Evict process-cache entries derived from the superseded state.
@@ -632,8 +651,8 @@ class StreamingScorer:
     def _compute_probabilities(self) -> np.ndarray:
         """One full forward pass, mirroring ``FittedEnsemble.predict_proba``.
 
-        The same expression tree — per-split ``predict_proba`` through the
-        raw-ndarray fast path, reduced with ``np.mean`` over the split axis
+        The same expression tree — per-split ``predict_proba`` through
+        ``forward_inference``, reduced with ``np.mean`` over the split axis
         under the artifact's compute dtype — so the result is bit-identical
         to scoring an equivalent from-scratch graph with a batch scorer.
         With ``num_partitions > 1`` the pass is sharded over the cached

@@ -17,7 +17,7 @@ Two epoch regimes share that skeleton:
   steps via :class:`~repro.graph.sampling.NeighborSampler`, one optimiser
   step per seed batch, so peak training memory scales with the sampled
   sub-graph instead of the graph.  Validation still runs full-graph through
-  the raw-ndarray ``forward_inference`` fast path.
+  ``forward_inference`` (the model's forward under ``no_grad``).
 
 :func:`grid_search` wraps the trainer to search learning rate / dropout (and
 any other ``ModelSpec`` keyword) exactly as the proxy-evaluation stage does.
@@ -300,7 +300,7 @@ class NodeClassificationTrainer:
                                      layer_weights)
             if not inference_state["validated"]:
                 # Guarded first use: the stripped program must reproduce the
-                # inference fast path bit-for-bit, or it is never used.
+                # no-grad Tensor forward bit-for-bit, or it is never used.
                 reference = model.forward_inference(
                     data, layer_weights=layer_weights)
                 if not np.array_equal(logits, reference):
@@ -521,8 +521,8 @@ class NodeClassificationTrainer:
                  index: np.ndarray, layer_weights: LayerWeights = None) -> float:
         """Accuracy of ``model`` on the nodes in ``index`` (no gradient tracking).
 
-        Runs through the raw-ndarray inference fast path — the per-epoch
-        validation pass is the single hottest no-grad call in the system.
+        Runs the model's forward under ``no_grad`` through
+        ``forward_inference``; no backward graph is recorded.
         """
         logits = model.forward_inference(data, layer_weights=layer_weights)
         index = np.asarray(index)
@@ -533,7 +533,7 @@ class NodeClassificationTrainer:
     @staticmethod
     def predict_proba(model: GNNModel, data: GraphTensors,
                       layer_weights: LayerWeights = None) -> np.ndarray:
-        """Full-graph class probabilities via the inference fast path."""
+        """Full-graph class probabilities via ``forward_inference``."""
         return model.predict_proba(data, layer_weights=layer_weights)
 
 

@@ -67,6 +67,32 @@ def test_capture_parity_float32(name, tiny_split_graph):
         assert np.array_equal(dynamic_model.forward_inference(data), logits)
 
 
+@pytest.mark.parametrize("dtype", ("float64", "float32"))
+@pytest.mark.parametrize("name", available_models())
+def test_inference_replay_is_never_dropped_for_parity(name, dtype, tiny_split_graph,
+                                                      monkeypatch):
+    """The trainer's first-use guard compares the stripped inference replay
+    with ``forward_inference``; on every zoo model, in both dtypes, it must
+    agree, or validation silently drops the replay."""
+    build = capture.build_inference_replay
+    built = []
+
+    def spy(replay, pool=None):
+        inference = build(replay, pool)
+        built.append(inference)
+        return inference
+
+    monkeypatch.setattr(capture, "build_inference_replay", spy)
+    before = capture.engine_stats()["bailout_reasons"].get("inference_parity", 0)
+    with compute_dtype_scope(dtype):
+        data = GraphTensors.from_graph(tiny_split_graph)
+        result, _ = _train(tiny_split_graph, data, name, max_epochs=3)
+    assert result.capture_used
+    assert built and built[0] is not None, f"{name} built no inference replay"
+    after = capture.engine_stats()["bailout_reasons"].get("inference_parity", 0)
+    assert after == before
+
+
 @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
 def test_capture_parity_across_backends(backend, tiny_split_graph, tiny_data):
     def gse_probabilities(capture_mode):

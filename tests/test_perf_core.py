@@ -3,8 +3,8 @@
 Covers the four tentpole pieces of the dtype/kernels/optimizer/inference
 rework: the process-wide compute-dtype policy, the fused ``spmm_bias_act``
 kernel in both association orders, the in-place optimizer steps, and the
-raw-ndarray inference fast path (asserted equal to the Tensor forward for
-every model in the zoo), plus the trainer's final-epoch evaluation fix.
+``forward_inference`` path (asserted equal to the Tensor forward for every
+model in the zoo), plus the trainer's final-epoch evaluation fix.
 """
 
 import numpy as np

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import AutoHEnsGNN, AutoHEnsGNNConfig, load_dataset
+from repro import AutoHEnsGNN, AutoHEnsGNNConfig, FittedEnsemble, load_dataset
 from repro.graph.partition import partition_graph
 from repro.graph.sampling import NeighborSampler
 from repro.resilience import FaultPlan, FaultRule, ResiliencePolicy
@@ -87,6 +87,16 @@ class TestScoringParityCampaign:
                          shard_backend=any_backend, max_workers=2) as scorer:
             np.testing.assert_array_equal(scorer.score(graph).probabilities,
                                           reference)
+
+    def test_members_serve_in_eval_mode(self, served):
+        """Thread shards call one member's ``forward_inference`` at once; a
+        member left in training mode would be switched to eval and back by
+        each call, turning dropout on under a concurrent shard."""
+        _, fitted, path, _ = served
+        for ensemble in (fitted, FittedEnsemble.load(path)):
+            modes = [member.training for split in ensemble.ensembles
+                     for gse in split.ensembles for member in gse.members]
+            assert modes and not any(modes)
 
     @pytest.mark.parametrize("variant", ["float32", "minibatch"])
     @pytest.mark.parametrize("num_partitions", [2, 3])

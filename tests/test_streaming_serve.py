@@ -231,9 +231,6 @@ class TestStreamingParity:
             if (step + 1) % 25 == 0:
                 result = scorer.score()
                 expected = reference.score(scorer.graph.snapshot())
-                # The ensemble blend upcasts to float64 on both paths; the
-                # contract is bit-parity with the batch reference, which
-                # _assert_same_bits checks dtype-and-all.
                 _assert_same_bits(result.probabilities, expected.probabilities)
                 np.testing.assert_array_equal(result.predictions,
                                               expected.predictions)
@@ -244,6 +241,35 @@ class TestStreamingParity:
         # The pool's SGC/SIGN members pull cached A^k X products, so the
         # delta-propagation machinery must actually have run.
         assert stats["powered_delta_rows"] + stats["powered_full_rebuilds"] > 0
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("flush_by", ["snapshot", "checkpoint"])
+    def test_graph_flushed_behind_the_scorer_is_not_served_stale(
+            self, streaming_pool, dtype, flush_by, tmp_path):
+        """``graph.snapshot()``/``graph.checkpoint()`` consume the journal
+        without telling the scorer; its next score must still answer the
+        flushed version, not the operators it held before."""
+        graph, fitted = streaming_pool
+        ensemble = fitted[dtype]
+        journal_dir = str(tmp_path / "journal") if flush_by == "checkpoint" else None
+        scorer = StreamingScorer(ensemble, graph, journal_dir=journal_dir)
+        scorer.score()  # seed the powered chains
+        live = scorer.graph
+        pairs = [(source, destination)
+                 for source in range(live.num_nodes)
+                 for destination in range(source + 1, live.num_nodes)
+                 if not live.has_edge(source, destination)][:5]
+        scorer.add_edges(np.array(pairs).T)
+        scorer.update_features(np.array([0]),
+                               np.ones((1, live.num_features)))
+        if flush_by == "checkpoint":
+            live.checkpoint()
+        expected = BatchScorer(ensemble).score(live.snapshot())
+        result = scorer.score()
+        _assert_same_bits(result.probabilities, expected.probabilities)
+        assert result.metadata["graph_version"] == live.version
+        assert scorer.describe()["streaming"]["structure_refreshes"] == 1
+        live.close()
 
     def test_node_subset_slices_the_shared_matrix(self, streaming_pool):
         graph, fitted = streaming_pool
