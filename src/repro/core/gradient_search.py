@@ -28,7 +28,7 @@ import numpy as np
 from repro.autograd import functional as F
 from repro.autograd import optim
 from repro.autograd.module import Parameter
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.nn.data import GraphTensors
 from repro.nn.model_zoo import get_model_spec
 from repro.nn.models.base import GNNModel
@@ -189,29 +189,13 @@ class GradientSearch:
 
         return self._finalize(start, history)
 
-    def _ensemble_log_proba_inference(self, data: GraphTensors) -> np.ndarray:
-        """Raw-ndarray twin of :meth:`_ensemble_log_proba` (no graph recording)."""
-        beta = F.softmax_array(self.beta_parameter.data, axis=-1)
-        mixture: Optional[np.ndarray] = None
-        for model_index, replicas in enumerate(self.models):
-            gse_probability: Optional[np.ndarray] = None
-            for replica_index, model in enumerate(replicas):
-                alpha = self.alpha_parameters[model_index][replica_index]
-                logits = model.forward_inference(data, layer_weights=alpha)
-                probabilities = F.softmax_array(logits, axis=-1)
-                gse_probability = probabilities if gse_probability is None \
-                    else gse_probability + probabilities
-            gse_probability = gse_probability * (1.0 / len(replicas))
-            weighted = gse_probability * beta[model_index]
-            mixture = weighted if mixture is None else mixture + weighted
-        return np.log(mixture + 1e-12)
-
     def _validation_accuracy(self, data: GraphTensors, labels: np.ndarray,
                              val_index: np.ndarray) -> float:
         for replicas in self.models:
             for model in replicas:
                 model.eval()
-        log_probabilities = self._ensemble_log_proba_inference(data)
+        with no_grad():
+            log_probabilities = self._ensemble_log_proba(data).data
         return accuracy(log_probabilities[val_index], labels[val_index])
 
     def _finalize(self, start: float, history: List[Dict[str, float]]) -> GradientSearchResult:

@@ -7,7 +7,11 @@ prediction is ``softmax((sum_l alpha_l H(l)) W)`` where ``alpha`` is either
 
 * ``None`` — the model's native combination (usually the last layer),
 * a fixed array — e.g. a one-hot vector selecting a specific depth, as used
-  by the grid search of ``AutoHEnsGNN_Adaptive``,
+  by the grid search of ``AutoHEnsGNN_Adaptive`` and by every re-trained GSE
+  member.  An exactly one-hot α (one ``1.0``, every other entry ``0.0``)
+  returns the selected state itself instead of stacking, scaling and
+  summing all ``L`` of them; layers that feed only unselected states then
+  receive no gradient,
 * a trainable :class:`~repro.autograd.Tensor` of logits — relaxed through a
   softmax as in ``AutoHEnsGNN_Gradient`` (Eqn 7).
 """
@@ -85,6 +89,12 @@ class GNNModel(Module):
             raise ValueError(
                 f"expected {len(states)} layer weights, received {weights.shape[0]}"
             )
+        selected = np.flatnonzero(weights)
+        if selected.size == 1 and weights[selected[0]] == 1.0:
+            # A discrete depth choice selects its state.  The weighted sum
+            # gives the same bytes, except that it turns an inf or NaN in an
+            # unselected state into NaN (0 * inf) and a selected -0.0 into +0.0.
+            return states[int(selected[0])]
         return F.weighted_sum(states, Tensor(weights))
 
     def forward(self, data: GraphTensors, layer_weights: LayerWeights = None) -> Tensor:

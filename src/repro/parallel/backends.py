@@ -565,15 +565,52 @@ class ThreadBackend(_PoolBackend):
         return SerialBackend(max_workers=1)
 
 
-def _init_process_worker(dtype_name: str) -> None:
-    """Process-pool initializer: replicate the parent's compute-dtype policy.
+def _openblas_thread_functions():
+    """``(get, set)`` thread-count functions of NumPy's bundled OpenBLAS.
 
-    Fork-started workers inherit it anyway; spawn-started workers (macOS /
-    Windows defaults) need the explicit hand-off.
+    ``None`` when the wheel ships no ``scipy_openblas`` library exporting
+    them (another BLAS, or a build without the bundled one).
+    """
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            library = ctypes.CDLL(path)
+            get_threads = library.scipy_openblas_get_num_threads64_
+            set_threads = library.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+def _init_process_worker(dtype_name: str, max_workers: int) -> None:
+    """Process-pool initializer: replicate the parent's compute-dtype policy
+    and give each worker its share of the CPUs for BLAS threads.
+
+    Fork-started workers inherit the dtype anyway; spawn-started workers
+    (macOS / Windows defaults) need the explicit hand-off.  Without the BLAS
+    cap, ``max_workers`` workers each running OpenBLAS's default of one
+    thread per CPU oversubscribe the machine.  The cap only ever lowers the
+    count, so a user's ``OPENBLAS_NUM_THREADS`` still holds.
     """
     from repro.autograd.dtype import set_compute_dtype
 
     set_compute_dtype(dtype_name)
+    functions = _openblas_thread_functions()
+    if functions is not None:
+        get_threads, set_threads = functions
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity is not None else (os.cpu_count() or 1)
+        cap = max(1, cpus // max_workers)
+        if cap < get_threads():
+            set_threads(cap)
 
 
 class ProcessBackend(_PoolBackend):
@@ -587,7 +624,7 @@ class ProcessBackend(_PoolBackend):
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.max_workers,
             initializer=_init_process_worker,
-            initargs=(compute_dtype_name(),))
+            initargs=(compute_dtype_name(), self.max_workers))
 
     def _fallback_backend(self) -> Optional[ExecutionBackend]:
         return ThreadBackend(max_workers=self.max_workers)

@@ -15,6 +15,7 @@ The contracts under test:
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -36,6 +37,7 @@ from repro.parallel import (
     get_backend,
     set_compute_cache,
 )
+from repro.parallel.backends import _openblas_thread_functions
 from repro.tasks.trainer import TrainConfig
 
 ALL_BACKENDS = ("serial", "thread", "process")
@@ -132,6 +134,30 @@ def test_pool_backend_survives_task_exception():
         assert report.results == [4, 9]
     finally:
         backend.close()
+
+
+def _worker_blas_threads(_):
+    get_threads, _ = _openblas_thread_functions()
+    return get_threads()
+
+
+def test_process_workers_cap_blas_threads_at_their_cpu_share():
+    functions = _openblas_thread_functions()
+    if functions is None:
+        pytest.skip("NumPy's bundled OpenBLAS thread functions are not exported")
+    get_threads, _ = functions
+    parent_threads = get_threads()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else (os.cpu_count() or 1)
+    backend = ProcessBackend(max_workers=2)
+    try:
+        report = backend.map(_worker_blas_threads, [0, 1])
+    finally:
+        backend.close()
+    expected = min(parent_threads, max(1, cpus // 2))
+    assert report.results == [expected, expected]
+    # The cap lives in the workers only.
+    assert get_threads() == parent_threads
 
 
 @pytest.mark.parametrize("name", ("thread", "process"))
